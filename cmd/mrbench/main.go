@@ -7,7 +7,7 @@
 //
 // Experiments: table1 table2 fig3 fig4a fig4b fig4c fig5 fig6
 // ablation-commitwait ablation-nonvoters ablation-survivability batch
-// elastic speed all (default: all).
+// elastic all (default: all).
 //
 // batch compares the batched per-range KV dispatch against a per-key RPC
 // ablation on a multi-region INSERT + cross-range scan workload and writes
@@ -29,13 +29,10 @@
 // non-GLOBAL variant shows a commit-wait span above the gate — the CI
 // smoke that commit-waits never leak into REGIONAL transactions.
 //
-// speed runs the wall-clock scheduler benchmark (sim micro-workloads plus
-// MovR/TPC-C steady state, each on the legacy and optimized schedulers) and
-// writes BENCH_speed.json. Combine with -cpuprofile/-memprofile to see
-// where the simulator itself spends real time.
-//
 // -cpuprofile FILE / -memprofile FILE write pprof profiles covering the
-// selected experiments.
+// selected experiments, to see where the simulator itself spends real time.
+// Wall-clock speed is measured by the separate perfbench module (see
+// perfbench/README.md).
 package main
 
 import (
@@ -129,12 +126,11 @@ func run() int {
 		},
 		"batch":   func(w io.Writer) error { return bench.Batch(w, scale) },
 		"elastic": func(w io.Writer) error { return bench.Elastic(w, scale) },
-		"speed":   func(w io.Writer) error { return bench.Speed(w, scale) },
 	}
 	order := []string{
 		"table1", "table2", "fig3", "fig4a", "fig4b", "fig4c", "fig5", "fig6",
 		"ablation-commitwait", "ablation-nonvoters", "ablation-survivability",
-		"batch", "elastic", "speed",
+		"batch", "elastic",
 	}
 
 	var toRun []string

@@ -89,12 +89,6 @@ type Config struct {
 	// CheckpointInterval overrides the checkpoint/truncation cadence of
 	// durable stores (default kv.DefaultCheckpointInterval).
 	CheckpointInterval sim.Duration
-	// LegacyScheduler runs the cluster on the pre-optimization simulator
-	// scheduler (boxed event heap, closure wakes, unpooled goroutines).
-	// Virtual-time behavior is identical either way; this exists so the
-	// `mrbench speed` harness can measure wall-clock before/after on the
-	// same hardware in the same process.
-	LegacyScheduler bool
 }
 
 // Cluster is a running simulated deployment.
@@ -171,9 +165,6 @@ func New(cfg Config) *Cluster {
 		cfg.Jitter = 0.03
 	}
 	s := sim.New(cfg.Seed)
-	if cfg.LegacyScheduler {
-		s = sim.NewLegacy(cfg.Seed)
-	}
 	topo := simnet.NewTable1Topology()
 	if cfg.RTT != nil {
 		topo.RTT = cfg.RTT

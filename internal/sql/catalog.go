@@ -206,10 +206,11 @@ type Catalog struct {
 	tables    map[string]*Table // key: db.table
 	nextTable TableID
 
-	// PlanCacheOff disables the fingerprint-keyed plan cache (ablation
-	// flag, same machinery as the dispatcher's PerKeyDispatch): every
-	// statement replans from scratch, exactly the pre-cache behavior.
-	PlanCacheOff bool
+	// noPlanCache disables the fingerprint-keyed plan cache: every
+	// statement replans from scratch, exactly the pre-cache behavior. It is
+	// the test reference the cached path is compared against; only tests
+	// in this package set it.
+	noPlanCache bool
 
 	// version counts schema and zone-config changes. Cached plans record
 	// the version they were built under and are dropped wholesale when it

@@ -28,9 +28,9 @@ type elasticLoopResult struct {
 // runElasticLoop drives the full elastic cycle on one cluster: hot SQL
 // traffic that load-splits a table partition, a region added and dropped
 // mid-run, single-region KV traffic that attracts a lease move, and a cold
-// tail in which the split remnants merge back. planCacheOff runs the loop
-// on the plan-cache ablation arm.
-func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResult {
+// tail in which the split remnants merge back. noPlanCache runs the loop
+// on the uncached planning reference.
+func runElasticLoop(t *testing.T, seed int64, noPlanCache bool) elasticLoopResult {
 	t.Helper()
 	c := cluster.New(cluster.Config{
 		Seed:      seed,
@@ -45,7 +45,7 @@ func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResu
 		},
 	})
 	catalog := NewCatalog()
-	catalog.PlanCacheOff = planCacheOff
+	catalog.noPlanCache = noPlanCache
 	us := NewSession(c, catalog, c.GatewayFor(simnet.USEast1))
 	var out elasticLoopResult
 	c.Sim.Spawn("test", func(p *sim.Proc) {
