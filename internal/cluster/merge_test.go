@@ -235,25 +235,40 @@ func TestStaleRouteAfterMerge(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Stale-routed RPC: old range ID straight at the old leaseholder.
-		raw, rpcErr := c.Net.SendRPC(p, gw, staleLease, kv.BatchRequest{
-			RangeID: staleID,
-			Req: &kv.GetRequest{
-				Key:       key(6),
-				Timestamp: c.Stores[gw].Clock.Now(),
-			},
-		}, 0)
-		if rpcErr != nil {
-			t.Errorf("stale route rpc: %v", rpcErr)
+		// Stale-routed RPCs: old range ID straight at the old leaseholder,
+		// as a one-request and as a two-request envelope. Every slot must
+		// come back as a mismatch carrying no data.
+		if _, ok := c.Stores[staleLease].Replica(staleID); ok {
+			t.Errorf("n%d still holds merged-away r%d", staleLease, staleID)
 			return
 		}
-		resp := raw.(kv.Response)
-		var rkm *kv.RangeKeyMismatchError
-		if resp.Err == nil || !errors.As(resp.Err, &rkm) {
-			t.Errorf("stale route: err = %v, want RangeKeyMismatchError", resp.Err)
-		}
-		if resp.Get != nil {
-			t.Errorf("stale route returned data: %v", resp.Get)
+		for _, keys := range [][]mvcc.Key{{key(6)}, {key(5), key(6)}} {
+			reqs := make([]interface{}, len(keys))
+			for i, k := range keys {
+				reqs[i] = &kv.GetRequest{Key: k, Timestamp: c.Stores[gw].Clock.Now()}
+			}
+			raw, rpcErr := c.Net.SendRPC(p, gw, staleLease, kv.BatchRequest{
+				RangeID: staleID,
+				Reqs:    reqs,
+			}, 0)
+			if rpcErr != nil {
+				t.Errorf("stale route rpc (%d reqs): %v", len(reqs), rpcErr)
+				return
+			}
+			resps := raw.(kv.BatchResponse).Resps
+			if len(resps) != len(reqs) {
+				t.Errorf("stale route: %d responses for %d requests", len(resps), len(reqs))
+				return
+			}
+			for i, resp := range resps {
+				var rkm *kv.RangeKeyMismatchError
+				if resp.Err == nil || !errors.As(resp.Err, &rkm) {
+					t.Errorf("stale route (%d reqs) slot %d: err = %v, want RangeKeyMismatchError", len(reqs), i, resp.Err)
+				}
+				if resp.Get != nil {
+					t.Errorf("stale route (%d reqs) slot %d returned data: %v", len(reqs), i, resp.Get)
+				}
+			}
 		}
 		// The DistSender path (fresh catalog lookup + mismatch retry) serves
 		// the post-merge value.

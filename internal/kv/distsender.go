@@ -458,12 +458,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		}
 		asp, attemptDone := ds.Tracer.StartIn(p, "ds.rpc")
 		asp.SetTagInt("attempt", int64(attempt)).SetTagInt("target", int64(target))
-		env := BatchRequest{RangeID: desc.RangeID, Trace: asp.Ctx()}
-		if len(reqs) == 1 {
-			env.Req = reqs[0]
-		} else {
-			env.Reqs = reqs
-		}
+		env := BatchRequest{RangeID: desc.RangeID, Reqs: reqs, Trace: asp.Ctx()}
 		raw, rpcErr := ds.Net.SendRPC(p, ds.NodeID, target, env, ds.RPCTimeout)
 		if rpcErr != nil {
 			// Node unreachable: back off and re-route (the descriptor or
@@ -476,12 +471,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 			backoff(asp)
 			continue
 		}
-		var resps []Response
-		if br, ok := raw.(BatchResponse); ok {
-			resps = br.Resps
-		} else {
-			resps = []Response{raw.(Response)}
-		}
+		resps := raw.(BatchResponse).Resps
 		// A retriable error on any response retries the whole sub-batch
 		// (requests are idempotent at the MVCC layer: re-evaluating a
 		// write lays down the same intent).
@@ -676,24 +666,6 @@ func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
 	return Response{Scan: &ScanResponse{Rows: rows, ServedBy: served}}
 }
 
-// Get is a convenience wrapper returning the value for key.
-func (ds *DistSender) Get(p *sim.Proc, req *GetRequest) (*GetResponse, error) {
-	resp := ds.Send(p, req)
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	return resp.Get, nil
-}
-
-// Put is a convenience wrapper for writes.
-func (ds *DistSender) Put(p *sim.Proc, req *PutRequest) (*PutResponse, error) {
-	resp := ds.Send(p, req)
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	return resp.Put, nil
-}
-
 // NegotiateBoundedStaleness implements the two-phase bounded staleness
 // protocol of §5.3.2 for a set of key spans: ask the nearest replica of
 // each touched range for its locally servable timestamp and take the
@@ -719,13 +691,13 @@ func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key
 			answered := false
 			for _, target := range ds.replicasByPreference(desc) {
 				raw, err := ds.Net.SendRPC(p, ds.NodeID, target,
-					BatchRequest{RangeID: desc.RangeID, Req: &NegotiateRequest{StartKey: span[0], EndKey: span[1]}}, ds.RPCTimeout)
+					BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&NegotiateRequest{StartKey: span[0], EndKey: span[1]}}}, ds.RPCTimeout)
 				if err != nil {
 					ds.Retries++
 					lastErr = err
 					continue
 				}
-				resp := raw.(Response)
+				resp := raw.(BatchResponse).Resps[0]
 				if resp.Err != nil {
 					ds.Retries++
 					lastErr = resp.Err

@@ -385,10 +385,8 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 	// covers evaluation+replication. Acquiring in the other order
 	// deadlocks: a latch holder waiting on the lock blocks the lock
 	// holder's own write.
-	if req.Txn != nil {
-		if err := r.acquireLock(p, req.Key, req.Txn); err != nil {
-			return Response{Err: err}
-		}
+	if err := r.acquireLock(p, req.Key, req.Txn); err != nil {
+		return Response{Err: err}
 	}
 	lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
 	r.latches.acquire(p, req.Key)
@@ -402,10 +400,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 	r.WritesEvaluated++
 
 	ts := req.Timestamp
-	var txnMeta *mvcc.TxnMeta
-	if req.Txn != nil {
-		txnMeta = &req.Txn.Meta
-	}
+	txnMeta := &req.Txn.Meta
 	for {
 		if err := r.checkLease(); err != nil {
 			return Response{Err: err}
@@ -413,11 +408,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		// Writes may not invalidate served reads — except the
 		// transaction's own (self-exemption avoids forcing a refresh on
 		// every read-modify-write).
-		var writer mvcc.TxnID
-		if txnMeta != nil {
-			writer = txnMeta.ID
-		}
-		if tsc, own := r.tscache.MaxRead(req.Key, writer); own {
+		if tsc, own := r.tscache.MaxRead(req.Key, txnMeta.ID); own {
 			if ts.Less(tsc) {
 				ts = tsc
 			}
@@ -452,35 +443,28 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 			return Response{Err: err}
 		}
 		ts = newTs
-		if req.Commit1PC && txnMeta != nil {
+		if req.Commit1PC {
 			return r.evalPut1PC(p, req, ts, target)
 		}
-		// Replicate the write.
+		// Write pipelining: reply once the proposal is in flight; the
+		// latch is held until the write applies so later reads and
+		// QueryIntent observe it. The coordinator proves the write before
+		// committing.
 		cmd := Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, Txn: txnMeta, ClosedTS: target}
-		if req.Pipelined {
-			// Write pipelining: reply once the proposal is in flight;
-			// the latch is held until the write applies so later reads
-			// and QueryIntent observe it. The coordinator proves the
-			// write before committing.
-			f, err := r.raft.Propose(cmd)
-			if err != nil {
-				var nl *raft.ErrNotLeader
-				if errors.As(err, &nl) {
-					return Response{Err: r.errNotLeaseholder()}
-				}
-				return Response{Err: err}
+		f, err := r.raft.Propose(cmd)
+		if err != nil {
+			var nl *raft.ErrNotLeader
+			if errors.As(err, &nl) {
+				return Response{Err: r.errNotLeaseholder()}
 			}
-			releaseOnReturn = false
-			key := append(mvcc.Key(nil), req.Key...)
-			r.store.Sim.Spawn("kv/pipelined-apply", func(ap *sim.Proc) {
-				f.Wait(ap)
-				r.latches.release(key)
-			})
-			return Response{Put: &PutResponse{WriteTimestamp: ts}}
-		}
-		if err := r.propose(p, cmd); err != nil {
 			return Response{Err: err}
 		}
+		releaseOnReturn = false
+		key := append(mvcc.Key(nil), req.Key...)
+		r.store.Sim.Spawn("kv/pipelined-apply", func(ap *sim.Proc) {
+			f.Wait(ap)
+			r.latches.release(key)
+		})
 		return Response{Put: &PutResponse{WriteTimestamp: ts}}
 	}
 }
@@ -611,21 +595,14 @@ func (r *Replica) evalEndTxn(p *sim.Proc, req *EndTxnRequest) Response {
 		return Response{Err: err}
 	}
 	status := mvcc.Aborted
-	switch {
-	case req.Commit && req.Stage:
+	if req.Commit {
 		// Parallel commit: stage against concurrent pushes; the
 		// coordinator finalizes after proving its writes.
 		if err := r.store.Registry.TryStage(req.Txn.Meta.ID, req.CommitTS); err != nil {
 			return Response{Err: err}
 		}
 		status = mvcc.Committed
-	case req.Commit:
-		// Claim the commit atomically against concurrent pushes.
-		if err := r.store.Registry.TryCommit(req.Txn.Meta.ID, req.CommitTS); err != nil {
-			return Response{Err: err}
-		}
-		status = mvcc.Committed
-	default:
+	} else {
 		r.store.Registry.Abort(req.Txn.Meta.ID)
 	}
 	// Durably record the decision on the anchor range (costs a consensus

@@ -15,7 +15,6 @@ import (
 	"mrdb/internal/obs"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
-	"mrdb/internal/zones"
 )
 
 // RangeID identifies a Range (one Raft group).
@@ -177,18 +176,16 @@ type ScanResponse struct {
 	ResumeKey mvcc.Key
 }
 
-// PutRequest writes a provisional value (intent) for a transaction, or a
-// committed value when Txn is nil.
+// PutRequest writes a provisional value (intent) for a transaction. Writes
+// are pipelined: the leaseholder replies after evaluation and proposal,
+// before the write replicates (CockroachDB's write pipelining / async
+// consensus), and the coordinator proves the write with a
+// QueryIntentRequest before committing.
 type PutRequest struct {
 	Key       mvcc.Key
 	Value     mvcc.Value // nil deletes
 	Timestamp hlc.Timestamp
 	Txn       *Txn
-	// Pipelined makes the leaseholder reply after evaluation and
-	// proposal, before the write replicates (CockroachDB's write
-	// pipelining / async consensus). The coordinator must prove the
-	// write with a QueryIntentRequest before committing.
-	Pipelined bool
 
 	// Commit1PC asks the leaseholder to commit the transaction together
 	// with this write (one-phase commit): the value is written directly
@@ -234,15 +231,14 @@ type PutResponse struct {
 }
 
 // EndTxnRequest commits or aborts a transaction: it writes the transaction
-// record on the anchor range through consensus.
+// record on the anchor range through consensus. A commit is a parallel
+// commit: the record is written in STAGING state while the coordinator
+// concurrently proves its pipelined writes, then finalizes via the
+// registry.
 type EndTxnRequest struct {
 	Txn      *Txn
 	Commit   bool
 	CommitTS hlc.Timestamp
-	// Stage performs a parallel commit: the record is written in STAGING
-	// state while the coordinator concurrently proves pipelined writes,
-	// then finalizes via the registry.
-	Stage bool
 }
 
 // EndTxnResponse reports the recorded status.
@@ -370,22 +366,21 @@ type Response struct {
 	Err         error
 }
 
-// BatchRequest is the RPC envelope dispatched to a Replica. It carries
-// either a single request (Req) or a per-range sub-batch (Reqs) the
-// DistSender split out of a larger batch; a replica evaluates the
-// sub-batch's requests concurrently and replies with a BatchResponse whose
-// responses are in request order.
+// BatchRequest is the RPC envelope dispatched to a Replica. It carries a
+// per-range sub-batch (Reqs) the DistSender split out of a larger batch,
+// possibly of one request; a replica evaluates the sub-batch's requests
+// concurrently and replies with a BatchResponse whose responses are in
+// request order.
 type BatchRequest struct {
 	RangeID RangeID
-	Req     interface{}
 	Reqs    []interface{}
 	// Trace carries the sender's span context to the serving replica, so
 	// server-side evaluation spans join the request's trace.
 	Trace obs.SpanContext
 }
 
-// BatchResponse is the reply to a multi-request BatchRequest: one Response
-// per request, in request order.
+// BatchResponse is the reply to a BatchRequest: one Response per request,
+// in request order.
 type BatchResponse struct {
 	Resps []Response
 }
@@ -453,9 +448,3 @@ const (
 	// the subsumed right-hand range SplitDesc.
 	CmdMerge
 )
-
-// PlacementFromZoneConfig is re-exported glue so higher layers can go from
-// a zone config to a placement without importing zones directly everywhere.
-func PlacementFromZoneConfig(a *zones.Allocator, cfg zones.Config) (zones.Placement, error) {
-	return a.Allocate(cfg)
-}

@@ -570,16 +570,6 @@ func toFloat(d Datum) (float64, bool) {
 	return 0, false
 }
 
-func toInt(d Datum) (int64, bool) {
-	switch v := d.(type) {
-	case int64:
-		return v, true
-	case int:
-		return int64(v), true
-	}
-	return 0, false
-}
-
 func (s *Session) evalFunc(fc *FuncCall, ctx *evalCtx) (Datum, error) {
 	switch fc.Name {
 	case "gateway_region":

@@ -300,3 +300,74 @@ func TestCommitWaitOnlyForFutureTimestamps(t *testing.T) {
 		}
 	})
 }
+
+// TestLostPipelinedWriteRestarts covers the parallel-commit failure path: a
+// pipelined intent that never replicates makes the commit-time QueryIntent
+// proof fail, so the coordinator rolls the STAGING record back to ABORTED
+// and returns a retryable error, and Run's next attempt commits.
+func TestLostPipelinedWriteRestarts(t *testing.T) {
+	c := cluster.New(cluster.Config{
+		Seed: 8, Regions: cluster.ThreeRegions(), MaxOffset: 250 * sim.Millisecond,
+	})
+	us := c.Topo.NodesInRegion(simnet.USEast1)
+	eu := c.Topo.NodesInRegion(simnet.EuropeW2)
+	asia := c.Topo.NodesInRegion(simnet.AsiaNE1)
+	gw := us[0]
+	// The anchor range (transaction record) is led by the gateway and
+	// survives the loss of its other us-east1 voters.
+	if _, err := c.Admin.CreateRange(mvcc.Key("k/"), mvcc.Key("k0"), zones.Placement{
+		Voters: us, Leaseholder: gw,
+	}, kv.ClosedTSLag); err != nil {
+		t.Fatal(err)
+	}
+	// The victim range is led next to the gateway, but its quorum lives
+	// across the WAN: its intent is acknowledged to the gateway long
+	// before any follower could have appended it.
+	victim := us[1]
+	if _, err := c.Admin.CreateRange(mvcc.Key("m/"), mvcc.Key("m0"), zones.Placement{
+		Voters: []simnet.NodeID{victim, eu[0], eu[1], asia[0], asia[1]}, Leaseholder: victim,
+	}, kv.ClosedTSLag); err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{c: c}
+	anchorKey, lostKey := mvcc.Key("k/anchor"), mvcc.Key("m/lost")
+	h.run(t, func(p *sim.Proc) {
+		co := txn.NewCoordinator(c.Stores[gw], c.Senders[gw])
+		var first mvcc.TxnID
+		attempts := 0
+		err := co.Run(p, func(tx *txn.Txn) error {
+			attempts++
+			if err := tx.PutParallel(p, []mvcc.KeyValue{
+				{Key: anchorKey, Value: mvcc.Value("a")},
+				{Key: lostKey, Value: mvcc.Value("v")},
+			}); err != nil {
+				return err
+			}
+			if attempts == 1 {
+				// Cut the victim leaseholder off while its proposal is
+				// still in flight to the followers.
+				first = tx.ID()
+				c.CrashNode(victim)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("run: %v", err)
+			return
+		}
+		if st, _ := c.Registry.Status(first); st != mvcc.Aborted {
+			t.Errorf("first attempt's record is %v, want ABORTED", st)
+		}
+		if co.Restarts < 1 || attempts < 2 {
+			t.Errorf("restarts=%d attempts=%d, want a retried txn", co.Restarts, attempts)
+		}
+		var got mvcc.Value
+		if err := co.Run(p, func(tx *txn.Txn) error {
+			v, err := tx.Get(p, lostKey)
+			got = v
+			return err
+		}); err != nil || string(got) != "v" {
+			t.Errorf("retried write: %q %v, want v", got, err)
+		}
+	})
+}
