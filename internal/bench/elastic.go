@@ -139,16 +139,15 @@ func convergence(names []string, wr *workload.WindowedRecorder, starts []sim.Tim
 // layer with real memory weight.
 func elasticCluster(seed int64, lc kv.LoadConfig) *cluster.Cluster {
 	return cluster.New(cluster.Config{
-		Seed:           seed,
-		Regions:        cluster.ThreeRegions(),
-		MaxOffset:      250 * sim.Millisecond,
-		Jitter:         0.02,
-		LoadBased:      true,
-		Load:           lc,
-		Tracing:        ExportDir != "",
-		Sampling:       true,
-		SampleInterval: 1 * sim.Second,
-		SampleBucket:   5 * sim.Second,
+		Seed:         seed,
+		Regions:      cluster.ThreeRegions(),
+		MaxOffset:    250 * sim.Millisecond,
+		Jitter:       0.02,
+		LoadBased:    true,
+		Load:         lc,
+		Tracing:      ExportDir != "",
+		Sampling:     true,
+		SampleBucket: 5 * sim.Second,
 	})
 }
 

@@ -38,8 +38,6 @@ type Config struct {
 	RTT map[[2]simnet.Region]sim.Duration
 	// Jitter is the network latency jitter fraction; default 0.03.
 	Jitter float64
-	// CloseLag overrides the lagging closed-timestamp interval.
-	CloseLag sim.Duration
 	// LoadBased enables the load-based allocator: per-range QPS tracking
 	// fed by every DistSender, plus the split/merge/rebalance queue that
 	// splits hot ranges at a load-weighted key, merges cold neighbors, and
@@ -54,13 +52,12 @@ type Config struct {
 	Tracing bool
 	// Sampling starts the virtual-time timeseries store (internal/obs/tsdb)
 	// and its samplers: one lightweight proc per node snapshots that node's
-	// state (replicas, leases held, liveness) every SampleInterval, and the
-	// lowest-numbered node's sampler additionally snapshots every
-	// cluster-wide registry metric under node 0. Sampling only reads state —
-	// it is zero-cost in virtual time, pinned by the metamorphic tests.
+	// state (replicas, leases held, liveness) every DefaultSampleInterval
+	// (1s virtual), and the lowest-numbered node's sampler additionally
+	// snapshots every cluster-wide registry metric under node 0. Sampling
+	// only reads state — it is zero-cost in virtual time, pinned by the
+	// metamorphic tests.
 	Sampling bool
-	// SampleInterval overrides the sampling cadence (default 1s virtual).
-	SampleInterval sim.Duration
 	// SampleBucket overrides the tsdb rollup bucket width (default 10s).
 	SampleBucket sim.Duration
 	// Durability gives every node a simulated disk: Raft state persists
@@ -188,9 +185,6 @@ func New(cfg Config) *Cluster {
 				skew := sim.Duration(s.Rand().Int63n(int64(skewSpread))) - skewSpread/2
 				clock := hlc.NewClock(hlc.SimWallSource{Sim: s, Skew: skew}, cfg.MaxOffset)
 				st := kv.NewStore(id, s, c.Net, topo, clock, c.Registry)
-				if cfg.CloseLag != 0 {
-					st.CloseLag = cfg.CloseLag
-				}
 				st.Catalog = c.Catalog
 				st.Obs = c.Tracer
 				st.Contention = c.Contention
@@ -224,7 +218,7 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Sampling {
 		c.TSDB = tsdb.New(cfg.SampleBucket, 0)
-		c.startSamplers(cfg.SampleInterval)
+		c.startSamplers()
 	}
 	return c
 }

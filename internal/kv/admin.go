@@ -318,7 +318,6 @@ func (a *Admin) relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 				if rep, ok := st.Replica(rangeID); ok {
 					rep.raft.SetHeartbeatInterval(SideTransportInterval)
 					rep.closed.policy = policy
-					rep.closed.lag = st.CloseLag
 				}
 			}
 		}

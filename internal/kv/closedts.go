@@ -8,7 +8,7 @@ import (
 	"mrdb/internal/simnet"
 )
 
-// DefaultCloseLag is the default trailing closed-timestamp interval
+// DefaultCloseLag is the trailing closed-timestamp interval of LAG ranges
 // (paper §5.1.1: "by default, leaseholders close timestamps that are 3
 // seconds old").
 const DefaultCloseLag = 3 * sim.Second
@@ -28,8 +28,6 @@ const leadPropagationMargin = 50 * sim.Millisecond
 // accept writes at or below it.
 type closedTracker struct {
 	policy ClosedTSPolicy
-	// lag applies under ClosedTSLag.
-	lag sim.Duration
 	// lead applies under ClosedTSLead: L_raft + L_replicate + max_offset
 	// (paper §6.2.1).
 	lead sim.Duration
@@ -48,7 +46,7 @@ func (c *closedTracker) target(now hlc.Timestamp) hlc.Timestamp {
 	if c.policy == ClosedTSLead {
 		t = now.Add(c.lead)
 	} else {
-		t = now.Add(-c.lag)
+		t = now.Add(-DefaultCloseLag)
 	}
 	if t.Less(c.issued) {
 		t = c.issued

@@ -360,7 +360,7 @@ func TestRangeDescriptorHelpers(t *testing.T) {
 // --- Closed timestamps ---
 
 func TestClosedTrackerLagAndLead(t *testing.T) {
-	lag := closedTracker{policy: ClosedTSLag, lag: 3 * sim.Second}
+	lag := closedTracker{policy: ClosedTSLag}
 	now := ts(int64(10 * sim.Second))
 	target := lag.issue(now)
 	if target != ts(int64(7*sim.Second)) {

@@ -144,7 +144,7 @@ func (r *Replica) evaluate(p *sim.Proc, req interface{}) Response {
 	case *ResolveIntentRequest:
 		return r.evalResolveIntent(p, q)
 	case *RefreshRequest:
-		return r.evalRefresh(q)
+		return r.evalRefresh(p, q)
 	case *NegotiateRequest:
 		return r.evalNegotiate(q)
 	case *QueryIntentRequest:
@@ -243,29 +243,41 @@ func (r *Replica) evalGet(p *sim.Proc, req *GetRequest) Response {
 	}
 }
 
-// evalFollowerGet serves a read from a non-leaseholder replica (paper §5.1).
-// A stale read only needs its own timestamp closed; a consistent
-// (uncertainty-checked) read needs its entire uncertainty interval closed —
-// this is why the LEAD policy's closed-timestamp lead includes
-// max_clock_offset (§6.2.1: "the size of uncertainty intervals must also be
-// factored in") — so that uncertainty bumps stay below the closed timestamp
-// and can be served locally without redirecting.
-func (r *Replica) evalFollowerGet(p *sim.Proc, req *GetRequest) Response {
-	required := req.Timestamp
-	if req.Uncertainty && req.Txn != nil && required.Less(req.Txn.GlobalUncertaintyLimit) {
-		required = req.Txn.GlobalUncertaintyLimit
+// admitFollowerRead decides whether a replica without a valid lease may
+// serve a read at ts from local state (paper §5.1). A stale read only needs
+// its own timestamp closed; a consistent (uncertainty-checked) read needs
+// its entire uncertainty interval closed. With wait > 0 the replica first
+// waits up to that long for the closed timestamp to catch up (the adaptive
+// policy) instead of paying a WAN redirect. A refused read is counted and
+// answered with FollowerReadUnavailableError, which sends it to the
+// leaseholder.
+func (r *Replica) admitFollowerRead(p *sim.Proc, ts hlc.Timestamp, txn *Txn, uncertainty bool, wait sim.Duration) error {
+	required := ts
+	if uncertainty && txn != nil && required.Less(txn.GlobalUncertaintyLimit) {
+		required = txn.GlobalUncertaintyLimit
 	}
-	if r.closed.closed.Less(required) && req.WaitForClosed > 0 {
-		// Adaptive policy (paper future work): wait for the closed
-		// timestamp to reach us instead of paying a WAN redirect.
+	if r.closed.closed.Less(required) && wait > 0 {
 		csp := r.store.Obs.StartChild("closedts.wait", obs.ProcSpan(p))
-		r.waitForClosed(p, required, req.WaitForClosed)
+		r.waitForClosed(p, required, wait)
 		csp.Finish()
 	}
 	if r.closed.closed.Less(required) {
 		r.RedirectsToLH++
-		return Response{Err: &FollowerReadUnavailableError{
-			RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: required}}
+		return &FollowerReadUnavailableError{
+			RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: required}
+	}
+	return nil
+}
+
+// evalFollowerGet serves a point read from a replica without a valid lease
+// (paper §5.1) once admitFollowerRead admits it. A consistent read needs its
+// entire uncertainty interval closed; this is why the LEAD policy's
+// closed-timestamp lead includes max_clock_offset (§6.2.1: "the size of
+// uncertainty intervals must also be factored in"), so that uncertainty
+// bumps stay below the closed timestamp and are served locally.
+func (r *Replica) evalFollowerGet(p *sim.Proc, req *GetRequest) Response {
+	if err := r.admitFollowerRead(p, req.Timestamp, req.Txn, req.Uncertainty, req.WaitForClosed); err != nil {
+		return Response{Err: err}
 	}
 	opts := r.getOpts(req.Txn, req.Uncertainty)
 	readTS := req.Timestamp
@@ -338,10 +350,8 @@ func (r *Replica) evalScan(p *sim.Proc, req *ScanRequest) Response {
 		return Response{Err: berr}
 	}
 	if r.checkLease() != nil {
-		if r.closed.closed.Less(req.Timestamp) {
-			r.RedirectsToLH++
-			return Response{Err: &FollowerReadUnavailableError{
-				RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: req.Timestamp}}
+		if err := r.admitFollowerRead(p, req.Timestamp, req.Txn, req.Uncertainty, 0); err != nil {
+			return Response{Err: err}
 		}
 		rows, err := r.engine.Scan(start, end, req.Timestamp, req.MaxRows, r.getOpts(req.Txn, req.Uncertainty))
 		if err != nil {
@@ -637,15 +647,15 @@ func (r *Replica) evalResolveIntent(p *sim.Proc, req *ResolveIntentRequest) Resp
 	return Response{Resolve: &ResolveIntentResponse{}}
 }
 
-func (r *Replica) evalRefresh(req *RefreshRequest) Response {
-	if !r.isLeaseholder() {
-		// A follower can verify a refresh authoritatively when its
-		// closed timestamp covers ToTS: no new writes can appear at or
-		// below a closed timestamp, so the local state is complete.
-		// This keeps refreshes of GLOBAL-table reads region-local.
-		if r.closed.closed.Less(req.ToTS) {
-			return Response{Err: &FollowerReadUnavailableError{
-				RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: req.ToTS}}
+func (r *Replica) evalRefresh(p *sim.Proc, req *RefreshRequest) Response {
+	if r.checkLease() != nil {
+		// A follower (or a fenced leaseholder, which may already have been
+		// superseded) can verify a refresh authoritatively when its closed
+		// timestamp covers ToTS: no new writes can appear at or below a
+		// closed timestamp, so the local state is complete. This keeps
+		// refreshes of GLOBAL-table reads region-local.
+		if err := r.admitFollowerRead(p, req.ToTS, nil, false, 0); err != nil {
+			return Response{Err: err}
 		}
 		var ok bool
 		if req.EndKey != nil {

@@ -23,9 +23,6 @@ type Store struct {
 	Clock    *hlc.Clock
 	Registry *TxnRegistry
 
-	// CloseLag overrides the default lagging closed-timestamp interval.
-	CloseLag sim.Duration
-
 	// Catalog, when set, lets replicas publish descriptor changes (e.g. a
 	// lease acquired after a failover) to the shared routing catalog.
 	Catalog *RangeCatalog
@@ -73,7 +70,6 @@ func NewStore(id simnet.NodeID, s *sim.Simulation, net *simnet.Network, topo *si
 		Topo:       topo,
 		Clock:      clock,
 		Registry:   reg,
-		CloseLag:   DefaultCloseLag,
 		replicas:   map[RangeID]*Replica{},
 		engineSeed: int64(id) * 7919,
 	}
@@ -249,7 +245,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Rep
 		leaseEpoch:    s.CurrentEpoch(),
 	}
 	r.closedAdvanced = sim.NewCond(s.Sim)
-	r.closed = closedTracker{policy: desc.Policy, lag: s.CloseLag}
+	r.closed = closedTracker{policy: desc.Policy}
 	if desc.Policy == ClosedTSLead {
 		r.closed.lead = LeadTime(s.Topo, desc.Leaseholder, desc.Voters, desc.NonVoters, s.Clock.MaxOffset())
 	}

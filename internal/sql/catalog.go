@@ -207,9 +207,9 @@ type Catalog struct {
 	nextTable TableID
 
 	// noPlanCache disables the fingerprint-keyed plan cache: every
-	// statement replans from scratch, exactly the pre-cache behavior. It is
-	// the test reference the cached path is compared against; only tests
-	// in this package set it.
+	// statement builds a fresh shape. It is the test reference the
+	// memoized shapes are compared against; only tests in this package set
+	// it.
 	noPlanCache bool
 
 	// version counts schema and zone-config changes. Cached plans record

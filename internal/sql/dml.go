@@ -17,7 +17,7 @@ func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.planReadCached(st, t, db, st.Where, st.Limit)
+	plan, err := s.planReadStmt(st, t, db, st.Where, st.Limit)
 	if err != nil {
 		return nil, err
 	}
@@ -33,9 +33,7 @@ func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, err
 		}
 	}
 	res, err := s.project(t, rows, st.Columns, st.Limit)
-	if plan.prefixes != nil {
-		s.releaseRows(fetched)
-	}
+	s.releaseRows(fetched)
 	return res, err
 }
 
@@ -47,7 +45,7 @@ func (s *Session) execStaleSelect(p *sim.Proc, st *Select) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.planReadCached(st, t, db, st.Where, st.Limit)
+	plan, err := s.planReadStmt(st, t, db, st.Where, st.Limit)
 	if err != nil {
 		return nil, err
 	}
@@ -112,9 +110,7 @@ func (s *Session) execStaleSelect(p *sim.Proc, st *Select) (*Result, error) {
 		}
 	}
 	res, err := s.project(t, rows, st.Columns, st.Limit)
-	if plan.prefixes != nil {
-		s.releaseRows(fetched)
-	}
+	s.releaseRows(fetched)
 	return res, err
 }
 
@@ -166,42 +162,23 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	// Cached shape: column resolution and the default/computed schedule are
-	// reused; values still evaluate per row in the slow path's order.
-	ci := s.insertPlan(st, t)
-	var pc *prefixCache
-	var cols []string
-	if ci != nil {
-		pc = &ci.prefixes
-	} else {
-		cols = st.Columns
-		if cols == nil {
-			for _, c := range t.VisibleColumns() {
-				cols = append(cols, c.Name)
-			}
-		}
+	// The shape resolves the columns and the default/computed schedule;
+	// values evaluate per row.
+	sh, err := s.insertShapeFor(st, t)
+	if err != nil {
+		return nil, err
 	}
+	pc := &sh.prefixes
 	type insRow struct {
-		vals        map[ColumnID]Datum
-		fromDefault map[ColumnID]bool
-		region      simnet.Region
+		vals   map[ColumnID]Datum
+		region simnet.Region
 	}
 	var rows []insRow
 	for _, rowExprs := range st.Rows {
-		var vals map[ColumnID]Datum
-		var fromDefault map[ColumnID]bool
-		if ci != nil {
-			if len(rowExprs) != len(ci.cols) {
-				return nil, fmt.Errorf("sql: %d values for %d columns", len(rowExprs), len(ci.cols))
-			}
-			vals, err = s.buildRowValuesCached(ci, t, db, rowExprs)
-			fromDefault = ci.fromDefault
-		} else {
-			if len(rowExprs) != len(cols) {
-				return nil, fmt.Errorf("sql: %d values for %d columns", len(rowExprs), len(cols))
-			}
-			vals, fromDefault, err = s.buildRowValues(t, db, cols, rowExprs)
+		if len(rowExprs) != len(sh.cols) {
+			return nil, fmt.Errorf("sql: %d values for %d columns", len(rowExprs), len(sh.cols))
 		}
+		vals, err := s.rowValues(sh, t, db, rowExprs)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +186,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, insRow{vals: vals, fromDefault: fromDefault, region: region})
+		rows = append(rows, insRow{vals: vals, region: region})
 	}
 	if st.Upsert {
 		for _, r := range rows {
@@ -242,8 +219,8 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 			for _, cid := range idx.Cols {
 				tuple = append(tuple, r.vals[cid])
 			}
-			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, r.fromDefault, s.UniquenessChecks) {
-				key := encodeIndexKey(pc, t, idx, pr, tuple)
+			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, sh.fromDefault, s.UniquenessChecks) {
+				key := pc.indexKey(t, idx, pr, tuple)
 				if pending[string(key)] {
 					return nil, fmt.Errorf("sql: duplicate key value violates unique constraint %q (region %s)", idx.Name, pr)
 				}
@@ -347,73 +324,9 @@ func uniqueWriteKeys(t *Table, pc *prefixCache, region simnet.Region, vals map[C
 		for _, cid := range idx.Cols {
 			tuple = append(tuple, vals[cid])
 		}
-		keys = append(keys, encodeIndexKey(pc, t, idx, idxRegion, tuple))
+		keys = append(keys, pc.indexKey(t, idx, idxRegion, tuple))
 	}
 	return keys
-}
-
-// buildRowValues evaluates provided expressions, fills defaults, computes
-// computed columns and validates constraints. fromDefault records columns
-// whose value came from a gen_random_uuid() default (uniqueness checks for
-// them are elided, §4.1).
-func (s *Session) buildRowValues(t *Table, db *core.Database, cols []string, exprs []Expr) (map[ColumnID]Datum, map[ColumnID]bool, error) {
-	vals := map[ColumnID]Datum{}
-	provided := map[ColumnID]bool{}
-	for i, name := range cols {
-		c, ok := t.Column(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("sql: unknown column %q", name)
-		}
-		v, err := s.evalExpr(exprs[i], nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals[c.ID] = v
-		provided[c.ID] = true
-	}
-	fromDefault := map[ColumnID]bool{}
-	for _, c := range t.Columns {
-		if provided[c.ID] || c.Computed != nil {
-			continue
-		}
-		if c.Default != nil {
-			v, err := s.evalExpr(c.Default, &evalCtx{session: s, row: t.namedVals(vals)})
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[c.ID] = v
-			if fc, ok := c.Default.(*FuncCall); ok && fc.Name == "gen_random_uuid" {
-				fromDefault[c.ID] = true
-			}
-		}
-	}
-	// Computed columns evaluate last, over the full row.
-	for _, c := range t.Columns {
-		if c.Computed != nil {
-			v, err := s.evalExpr(c.Computed, &evalCtx{session: s, row: t.namedVals(vals)})
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[c.ID] = v
-		}
-	}
-	for _, c := range t.Columns {
-		if c.NotNull && vals[c.ID] == nil {
-			return nil, nil, fmt.Errorf("sql: null value in column %q", c.Name)
-		}
-	}
-	// Region writability: a READ ONLY region value (mid DROP REGION,
-	// §2.4.1) rejects writes.
-	if t.IsPartitioned() {
-		r, err := rowRegion(t, vals)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !db.CanWriteRegion(r) {
-			return nil, nil, fmt.Errorf("sql: region %q is not writable", r)
-		}
-	}
-	return vals, fromDefault, nil
 }
 
 // rowRegion extracts the partition region of a row.
@@ -465,7 +378,7 @@ func (s *Session) uniquenessCheck(p *sim.Proc, tx *txn.Txn, t *Table, db *core.D
 	checkRegions := uniqueProbeRegions(t, db, idx, region, fromDefault, s.UniquenessChecks)
 	keys := make([]mvcc.Key, len(checkRegions))
 	for i, r := range checkRegions {
-		keys[i] = encodeIndexKey(pc, t, idx, r, tuple)
+		keys[i] = pc.indexKey(t, idx, r, tuple)
 	}
 	found, err := tx.GetParallel(p, keys)
 	if err != nil {
@@ -523,7 +436,7 @@ func rowKVs(t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnID]D
 		for _, cid := range idx.Cols {
 			tuple = append(tuple, vals[cid])
 		}
-		key := encodeIndexKey(pc, t, idx, idxRegion, tuple)
+		key := pc.indexKey(t, idx, idxRegion, tuple)
 		if !idx.Unique {
 			key = append(key, EncodeTupleSuffix(pkTuple)...)
 		}
@@ -561,7 +474,7 @@ func deleteKVs(t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnI
 		for _, cid := range idx.Cols {
 			tuple = append(tuple, vals[cid])
 		}
-		key := encodeIndexKey(pc, t, idx, idxRegion, tuple)
+		key := pc.indexKey(t, idx, idxRegion, tuple)
 		if !idx.Unique {
 			key = append(key, EncodeTupleSuffix(pkTuple)...)
 		}
@@ -577,7 +490,7 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.planReadCached(st, t, db, st.Where, 0)
+	plan, err := s.planReadStmt(st, t, db, st.Where, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -691,9 +604,7 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 		}
 		updated++
 	}
-	if pc != nil {
-		s.releaseRows(fetched)
-	}
+	s.releaseRows(fetched)
 	res := s.takeResult()
 	res.RowsAffected = updated
 	return res, nil
@@ -726,7 +637,7 @@ func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, pc *pre
 		for _, cid := range idx.Cols {
 			newTuple = append(newTuple, newVals[cid])
 		}
-		newKey := encodeIndexKey(pc, t, idx, idxRegion, newTuple)
+		newKey := pc.indexKey(t, idx, idxRegion, newTuple)
 		if !idx.Unique {
 			newKey = append(newKey, EncodeTupleSuffix(pkTuple)...)
 		}
@@ -735,7 +646,7 @@ func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, pc *pre
 			for _, cid := range idx.Cols {
 				oldTuple = append(oldTuple, oldVals[cid])
 			}
-			oldKey := encodeIndexKey(pc, t, idx, idxRegion, oldTuple)
+			oldKey := pc.indexKey(t, idx, idxRegion, oldTuple)
 			if !idx.Unique {
 				oldKey = append(oldKey, EncodeTupleSuffix(pkTuple)...)
 			}
@@ -762,7 +673,7 @@ func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.planReadCached(st, t, db, st.Where, 0)
+	plan, err := s.planReadStmt(st, t, db, st.Where, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -786,9 +697,7 @@ func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, err
 		return nil, err
 	}
 	n := len(rows)
-	if plan.prefixes != nil {
-		s.releaseRows(fetched)
-	}
+	s.releaseRows(fetched)
 	res := s.takeResult()
 	res.RowsAffected = n
 	return res, nil
@@ -843,6 +752,7 @@ func (s *Session) backfillLocalityChange(p *sim.Proc, t *Table, db *core.Databas
 	if oldPartitioned {
 		oldRegions = db.Regions()
 	}
+	var pc prefixCache
 	return s.Coord.Run(p, func(tx *txn.Txn) error {
 		for _, oldRegion := range oldRegions {
 			start, end := IndexSpan(t, oldPrimary.ID, oldRegion)
@@ -876,7 +786,7 @@ func (s *Session) backfillLocalityChange(p *sim.Proc, t *Table, db *core.Databas
 				saved := t.Indexes
 				t.Indexes = newIndexes
 				s.Catalog.Bump()
-				err = s.writeRow(p, tx, t, nil, region, vals)
+				err = s.writeRow(p, tx, t, &pc, region, vals)
 				t.Indexes = saved
 				s.Catalog.Bump()
 				if err != nil {

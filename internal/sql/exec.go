@@ -63,7 +63,7 @@ type Session struct {
 	// value slices are valid only until the next constraints call.
 	consScratch map[string][]Datum
 	consSlab    []Datum
-	// crRow/crCtx back computedRegionFromConstraints.
+	// crRow/crCtx back computedRegion.
 	crRow map[string]Datum
 	crCtx evalCtx
 }
@@ -388,6 +388,7 @@ func (s *Session) execTruncate(p *sim.Proc, st *Truncate) (*Result, error) {
 		return nil, err
 	}
 	deleted := 0
+	var pc prefixCache
 	err = s.Coord.Run(p, func(tx *txn.Txn) error {
 		deleted = 0
 		for _, region := range partitionsOf(t, db) {
@@ -401,7 +402,7 @@ func (s *Session) execTruncate(p *sim.Proc, st *Truncate) (*Result, error) {
 				if err != nil {
 					return err
 				}
-				if err := s.deleteRow(p, tx, t, nil, region, vals); err != nil {
+				if err := s.deleteRow(p, tx, t, &pc, region, vals); err != nil {
 					return err
 				}
 				deleted++
@@ -454,7 +455,7 @@ func (s *Session) execExplain(st *Explain) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.planRead(t, db, st.Stmt.Where, st.Stmt.Limit)
+	plan, err := s.planReadStmt(nil, t, db, st.Stmt.Where, st.Stmt.Limit)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func (s *Session) execExplainAnalyze(p *sim.Proc, st *ExplainAnalyze) (*Result, 
 	// For reads, splice in the static plan the optimizer chose.
 	if sel, ok := st.Stmt.(*Select); ok && !IsVirtualTable(sel.Table) {
 		if t, db, err := s.table(sel.Table); err == nil {
-			if plan, err := s.planRead(t, db, sel.Where, sel.Limit); err == nil {
+			if plan, err := s.planReadStmt(nil, t, db, sel.Where, sel.Limit); err == nil {
 				add("index", plan.index.Name)
 				add("partitions", fmt.Sprintf("%v", plan.regions))
 				add("locality optimized search", fmt.Sprintf("%v", plan.los))

@@ -52,21 +52,63 @@ type readPlan struct {
 	los bool
 	// limit bounds scan row counts (0 = unlimited).
 	limit int
-	// prefixes, when non-nil, is the cached plan's memoized index-prefix
-	// table; fetch paths build keys through it. Nil on the from-scratch
-	// path, which keeps the uncached reference's allocation profile untouched.
+	// prefixes is the shape's memoized index-prefix table; fetch and write
+	// paths build keys through it.
 	prefixes *prefixCache
-	// filterRedundant (cached plans only) marks the per-row WHERE filter as
-	// a provable no-op: every conjunct is already enforced by the lookup
-	// tuples and its values are pure, so skipping the pass changes neither
+	// filterRedundant marks the per-row WHERE filter as a provable no-op:
+	// every conjunct is already enforced by the lookup tuples and its values
+	// are pure (filterCoveredByLookup), so skipping the pass changes neither
 	// results nor RNG draws.
 	filterRedundant bool
+}
+
+// regionMode classifies how a read shape resolves its candidate partitions
+// on each execution.
+type regionMode int8
+
+const (
+	// modeUnpartitioned: non-REGIONAL BY ROW table, the single "" partition.
+	modeUnpartitioned regionMode = iota
+	// modeRegionCol: the region column is constrained in WHERE; partitions
+	// come from its per-execution values (pinned).
+	modeRegionCol
+	// modeComputed: the region column is computed and all its dependencies
+	// are single-value constrained; evaluate it per execution (pinned).
+	modeComputed
+	// modeSearch: gateway-local partition first, then the rest (§4.2).
+	modeSearch
+)
+
+// readShape is the value-independent half of a read plan: every decision
+// that follows from which columns the WHERE clause constrains and with how
+// many values, never from the values themselves. For a cacheable WHERE
+// clause that makes it a pure function of the plan-cache key, so the cache
+// memoizes it; bindRead turns it into a readPlan for one execution.
+type readShape struct {
+	index *Index
+	// colNames are index.Cols resolved to names, for constraint lookup
+	// without per-execution catalog scans.
+	colNames []string
+	// scan means no usable index: full scan of index, no lookup tuples.
+	scan bool
+	mode regionMode
+	// regions is the gateway-first search order (modeSearch only); shared
+	// read-only across executions.
+	regions []simnet.Region
+	// los is locality-optimized-search eligibility (§4.2): the session
+	// setting is on and the row count is bounded (unique index or LIMIT).
+	// It applies to an execution whose partitions are not pinned.
+	los bool
+	// filterRedundant: see readPlan.filterRedundant.
+	filterRedundant bool
+	// prefixes memoizes this table's index-partition key prefixes.
+	prefixes prefixCache
 }
 
 // constraints extracts per-column candidate values from a WHERE clause.
 // The returned map and its value slices are session scratch: valid only
 // until the next constraints call on this session, and never retained by
-// planRead or bindRead.
+// buildReadShape or bindRead.
 func (s *Session) constraints(w *Where, ctx *evalCtx) (map[string][]Datum, error) {
 	if s.consScratch == nil {
 		s.consScratch = map[string][]Datum{}
@@ -107,29 +149,48 @@ func (s *Session) constraints(w *Where, ctx *evalCtx) (map[string][]Datum, error
 	return out, nil
 }
 
-// computedRegionFromConstraints evaluates a computed region column when all
-// the columns it depends on are single-value constrained.
-func (s *Session) computedRegionFromConstraints(t *Table, cons map[string][]Datum) (simnet.Region, bool) {
-	col, ok := t.ColumnByID(t.RegionColumn)
+// computedRegionDeps returns the column names t's computed region column
+// depends on; ok is false when the region column is not computed.
+func computedRegionDeps(t *Table) (col *Column, deps []string, ok bool) {
+	col, ok = t.ColumnByID(t.RegionColumn)
 	if !ok || col.Computed == nil {
-		return "", false
+		return nil, nil, false
 	}
 	if col.computedDepsOf != col.Computed {
 		col.computedDeps = exprColumnDeps(col.Computed)
 		col.computedDepsOf = col.Computed
 	}
-	deps := col.computedDeps
+	return col, col.computedDeps, true
+}
+
+// regionComputable reports whether t's region is computed from columns
+// that are all single-value constrained, so it is derivable from the WHERE
+// clause (§2.3.2).
+func regionComputable(t *Table, cons map[string][]Datum) bool {
+	_, deps, ok := computedRegionDeps(t)
+	if !ok {
+		return false
+	}
+	for _, d := range deps {
+		if len(cons[d]) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// computedRegion evaluates a computed region column over the constraint
+// values of its dependencies; the caller has checked regionComputable. ok
+// is false when the expression fails or yields no region name.
+func (s *Session) computedRegion(t *Table, cons map[string][]Datum) (simnet.Region, bool) {
+	col, deps, _ := computedRegionDeps(t)
 	if s.crRow == nil {
 		s.crRow = map[string]Datum{}
 	}
 	clear(s.crRow)
 	row := s.crRow
 	for _, d := range deps {
-		vals, ok := cons[d]
-		if !ok || len(vals) != 1 {
-			return "", false
-		}
-		row[d] = vals[0]
+		row[d] = cons[d][0]
 	}
 	s.crCtx = evalCtx{session: s, row: row}
 	v, err := s.evalExpr(col.Computed, &s.crCtx)
@@ -172,97 +233,180 @@ func exprColumnDeps(e Expr) []string {
 	return out
 }
 
-// planRead builds a read plan for a WHERE clause.
-func (s *Session) planRead(t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
+// planReadStmt plans a read for stmt: it evaluates the WHERE constraints
+// once, takes the statement's shape from the plan cache (see readShapeFor)
+// and binds the constraint values to it. A nil stmt (EXPLAIN) builds a
+// fresh shape and leaves the cache untouched.
+func (s *Session) planReadStmt(stmt Statement, t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
 	cons, err := s.constraints(w, nil)
 	if err != nil {
 		return nil, err
 	}
-	plan := &readPlan{t: t, limit: limit}
-
-	// Partition determination for REGIONAL BY ROW.
-	if t.IsPartitioned() {
-		regionCol, _ := t.ColumnByID(t.RegionColumn)
-		if vals, ok := cons[regionCol.Name]; ok && len(vals) > 0 {
-			for _, v := range vals {
-				if r, ok := v.(string); ok {
-					plan.regions = append(plan.regions, simnet.Region(r))
-				}
-			}
-			plan.regionPinned = true
-		} else if r, ok := s.computedRegionFromConstraints(t, cons); ok {
-			// Computed partitioning (§2.3.2): the region is derivable
-			// from the WHERE clause, so the query stays in one region.
-			plan.regions = []simnet.Region{r}
-			plan.regionPinned = true
-		} else {
-			// Candidate partitions: gateway-local region first (LOS).
-			local := s.Region()
-			if db.HasRegion(local) {
-				plan.regions = append(plan.regions, local)
-			}
-			for _, r := range db.Regions() {
-				if r != local {
-					plan.regions = append(plan.regions, r)
-				}
-			}
-		}
+	var sh *readShape
+	if stmt == nil {
+		sh = s.buildReadShape(t, db, w, cons, limit)
 	} else {
-		plan.regions = []simnet.Region{""}
-		plan.regionPinned = true
+		sh = s.readShapeFor(stmt, t, db, w, cons, limit)
+	}
+	return s.bindRead(sh, t, db, cons, limit)
+}
+
+// buildReadShape makes a read's plan decisions from which columns cons
+// constrains and with how many values: the partition-resolution mode and
+// search order, the index (preferring the primary, then unique indexes;
+// with duplicate indexes, the copy pinned to the gateway's region, §7.3.1),
+// LOS eligibility and whether the per-row filter is redundant. It evaluates
+// nothing, so building a shape draws no RNG.
+func (s *Session) buildReadShape(t *Table, db *core.Database, w *Where, cons map[string][]Datum, limit int) *readShape {
+	sh := &readShape{}
+	switch {
+	case !t.IsPartitioned():
+		sh.mode = modeUnpartitioned
+	case len(cons[regionColumnName(t)]) > 0:
+		sh.mode = modeRegionCol
+	case regionComputable(t, cons):
+		// Computed partitioning (§2.3.2): the region is derivable from the
+		// WHERE clause, so the query stays in one region.
+		sh.mode = modeComputed
+	default:
+		sh.mode = modeSearch
+		sh.regions = s.searchRegions(db)
 	}
 
 	// Index selection: an index is usable if every indexed column has
-	// candidate values. Prefer the primary index, then unique indexes.
-	pickIndex := func() *Index {
-		var candidates []*Index
-		if t.DuplicateIndexes {
-			// Duplicate-indexes baseline: read the copy pinned to the
-			// gateway's region (§7.3.1).
-			local := s.Region()
-			for _, idx := range t.Indexes {
-				if idx.PinnedRegion == local {
-					candidates = append(candidates, idx)
-				}
+	// candidate values.
+	var candidates []*Index
+	if t.DuplicateIndexes {
+		local := s.Region()
+		for _, idx := range t.Indexes {
+			if idx.PinnedRegion == local {
+				candidates = append(candidates, idx)
 			}
 		}
-		candidates = append(candidates, t.Indexes...)
-		for _, idx := range candidates {
-			usable := true
-			for _, cid := range idx.Cols {
-				col, _ := t.ColumnByID(cid)
-				if vals, ok := cons[col.Name]; !ok || len(vals) == 0 {
-					usable = false
-					break
-				}
-			}
-			if usable {
-				return idx
-			}
-		}
-		return nil
 	}
-	idx := pickIndex()
-	if idx == nil {
+	candidates = append(candidates, t.Indexes...)
+	for _, idx := range candidates {
+		usable := true
+		for _, cid := range idx.Cols {
+			col, _ := t.ColumnByID(cid)
+			if len(cons[col.Name]) == 0 {
+				usable = false
+				break
+			}
+		}
+		if usable {
+			sh.index = idx
+			break
+		}
+	}
+	if sh.index == nil {
 		// Full scan of the primary index.
-		plan.index = t.Primary()
+		sh.scan = true
+		sh.index = t.Primary()
 		if t.DuplicateIndexes {
 			local := s.Region()
 			for _, di := range t.Indexes {
 				if di.PinnedRegion == local && len(di.Storing) > 0 {
-					plan.index = di
+					sh.index = di
 				}
 			}
 		}
+		return sh
+	}
+	for _, cid := range sh.index.Cols {
+		col, _ := t.ColumnByID(cid)
+		sh.colNames = append(sh.colNames, col.Name)
+	}
+	sh.los = s.LocalityOptimizedSearch && (sh.index.Unique || limit > 0)
+	sh.filterRedundant = filterCoveredByLookup(t, sh.index, w)
+	return sh
+}
+
+// searchRegions is the LOS probe order: the gateway's region first (when
+// the database has it), then the others.
+func (s *Session) searchRegions(db *core.Database) []simnet.Region {
+	var out []simnet.Region
+	local := s.Region()
+	if db.HasRegion(local) {
+		out = append(out, local)
+	}
+	for _, r := range db.Regions() {
+		if r != local {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// unpartitionedRegions is the shared single-"" partition list.
+var unpartitionedRegions = []simnet.Region{""}
+
+// bindRead binds a shape to one execution's constraint values: the pinned
+// partitions, the computed region (evaluated here, once per execution) and
+// the lookup tuples. The returned plan and its single-tuple lookup slices
+// are session scratch, valid until the next bindRead on this session.
+func (s *Session) bindRead(sh *readShape, t *Table, db *core.Database, cons map[string][]Datum, limit int) (*readPlan, error) {
+	plan := &s.planScratch
+	*plan = readPlan{t: t, index: sh.index, limit: limit, prefixes: &sh.prefixes, filterRedundant: sh.filterRedundant}
+	switch sh.mode {
+	case modeUnpartitioned:
+		plan.regions = unpartitionedRegions
+		plan.regionPinned = true
+	case modeRegionCol:
+		regions := s.regionScratch[:0]
+		for _, v := range cons[regionColumnName(t)] {
+			if r, ok := v.(string); ok {
+				regions = append(regions, simnet.Region(r))
+			}
+		}
+		s.regionScratch = regions
+		plan.regions = regions
+		plan.regionPinned = true
+	case modeComputed:
+		if r, ok := s.computedRegion(t, cons); ok {
+			regions := append(s.regionScratch[:0], r)
+			s.regionScratch = regions
+			plan.regions = regions
+			plan.regionPinned = true
+		} else {
+			// No region for these values: search like an underivable one.
+			plan.regions = s.searchRegions(db)
+		}
+	case modeSearch:
+		plan.regions = sh.regions
+	}
+	if sh.scan {
 		return plan, nil
 	}
-	plan.index = idx
-
-	// Build lookup tuples: cartesian product of candidate values.
+	plan.los = sh.los && !plan.regionPinned
+	// Lookup tuples: cartesian product of the per-column candidate values.
+	// The single-tuple case — every indexed column equality-constrained to
+	// one value, the OLTP hot path — reuses session scratch; that is safe
+	// only when no first-hit probes can outlive the statement, i.e. when LOS
+	// fan-out is off for this plan.
+	single := true
+	for _, name := range sh.colNames {
+		if len(cons[name]) != 1 {
+			single = false
+			break
+		}
+	}
+	if single && !plan.los {
+		tuple := s.tupleScratch[:0]
+		for _, name := range sh.colNames {
+			tuple = append(tuple, cons[name][0])
+		}
+		s.tupleScratch = tuple
+		if s.lookupScratch == nil {
+			s.lookupScratch = make([][]Datum, 1)
+		}
+		s.lookupScratch[0] = tuple
+		plan.lookups = s.lookupScratch
+		return plan, nil
+	}
 	tuples := [][]Datum{nil}
-	for _, cid := range idx.Cols {
-		col, _ := t.ColumnByID(cid)
-		vals := cons[col.Name]
+	for _, name := range sh.colNames {
+		vals := cons[name]
 		var next [][]Datum
 		for _, tu := range tuples {
 			for _, v := range vals {
@@ -276,9 +420,6 @@ func (s *Session) planRead(t *Table, db *core.Database, w *Where, limit int) (*r
 		}
 	}
 	plan.lookups = tuples
-	// LOS applies when the row count is bounded (unique index or LIMIT,
-	// §4.2) and the feature is enabled.
-	plan.los = s.LocalityOptimizedSearch && !plan.regionPinned && (idx.Unique || limit > 0)
 	return plan, nil
 }
 
@@ -334,7 +475,7 @@ func (s *Session) fetchRows(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 // finds it, rather than waiting for the slowest region (§4.2: "if the row
 // is found, there is no need to fan out to remote regions").
 func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableRow, error) {
-	t, idx := plan.t, plan.index
+	t, idx, pc := plan.t, plan.index, plan.prefixes
 	remaining := plan.lookups
 	var out []tableRow
 
@@ -357,7 +498,7 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 				p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
 					defer wg.Done()
 					obs.SetProcSpan(wp, parent)
-					row, err := s.lookupOne(wp, f, t, idx, plan.prefixes, region, tuple)
+					row, err := s.lookupOne(wp, f, t, idx, pc, region, tuple)
 					slots[slot] = result{row: row, err: err}
 				})
 			}
@@ -405,7 +546,7 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 			region := region
 			p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
 				obs.SetProcSpan(wp, parent)
-				row, err := s.lookupOne(wp, f, t, idx, plan.prefixes, region, tuple)
+				row, err := s.lookupOne(wp, f, t, idx, pc, region, tuple)
 				pending--
 				if res.Done() {
 					return
@@ -455,11 +596,10 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 }
 
 // lookupOne fetches one index tuple in one partition, following secondary
-// index entries to the primary row. With a prefix cache attached (cached
-// plans), keys are built from memoized prefixes and row maps come from the
-// session pool; without one the pre-cache path runs unchanged.
+// index entries to the primary row. Keys are built from the shape's
+// memoized prefixes and row maps come from the session pool.
 func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, pc *prefixCache, region simnet.Region, tuple []Datum) (*tableRow, error) {
-	key := encodeIndexKey(pc, t, idx, region, tuple)
+	key := pc.indexKey(t, idx, region, tuple)
 	val, err := f.get(p, key)
 	if err != nil {
 		return nil, err
@@ -468,7 +608,7 @@ func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, pc 
 		return nil, nil
 	}
 	if idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
-		vals, err := s.decodeRowPooled(pc, val)
+		vals, err := s.decodeRowPooled(val)
 		if err != nil {
 			return nil, err
 		}
@@ -476,7 +616,7 @@ func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, pc 
 	}
 	// Secondary index: value holds the PK; the row lives in the same
 	// partition as the index entry.
-	pkVals, err := s.decodeRowPooled(pc, val)
+	pkVals, err := s.decodeRowPooled(val)
 	if err != nil {
 		return nil, err
 	}
@@ -485,30 +625,25 @@ func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, pc 
 	for _, cid := range primary.Cols {
 		pkTuple = append(pkTuple, pkVals[cid])
 	}
-	rowKey := encodeIndexKey(pc, t, primary, region, pkTuple)
+	rowKey := pc.indexKey(t, primary, region, pkTuple)
 	rowVal, err := f.get(p, rowKey)
-	if pc != nil {
-		s.putRowMap(pkVals)
-	}
+	s.putRowMap(pkVals)
 	if err != nil {
 		return nil, err
 	}
 	if rowVal == nil {
 		return nil, nil
 	}
-	vals, err := s.decodeRowPooled(pc, rowVal)
+	vals, err := s.decodeRowPooled(rowVal)
 	if err != nil {
 		return nil, err
 	}
 	return &tableRow{vals: vals, region: region}, nil
 }
 
-// decodeRowPooled decodes a row value, drawing the destination map from the
-// session pool when the fetch runs under a cached plan.
-func (s *Session) decodeRowPooled(pc *prefixCache, val mvcc.Value) (map[ColumnID]Datum, error) {
-	if pc == nil {
-		return DecodeRow(val)
-	}
+// decodeRowPooled decodes a row value into a map drawn from the session
+// pool.
+func (s *Session) decodeRowPooled(val mvcc.Value) (map[ColumnID]Datum, error) {
 	m := s.getRowMap()
 	if err := DecodeRowInto(m, val); err != nil {
 		s.putRowMap(m)

@@ -69,7 +69,7 @@ func eq(col string, v Datum) *Where {
 func TestPlanPointLookupOnPK(t *testing.T) {
 	h := newPlanHarness(t)
 	tbl := h.mkTable(t, "users", false)
-	plan, err := h.session.planRead(tbl, h.db, eq("id", int64(7)), 0)
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, eq("id", int64(7)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPlanPointLookupOnPK(t *testing.T) {
 func TestPlanUniqueSecondaryIndex(t *testing.T) {
 	h := newPlanHarness(t)
 	tbl := h.mkTable(t, "users", false)
-	plan, err := h.session.planRead(tbl, h.db, eq("email", "a@b.c"), 0)
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, eq("email", "a@b.c"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPlanRegionPinnedByPredicate(t *testing.T) {
 		Col: RegionColumnName, Op: OpEq,
 		Vals: []Expr{&Lit{Val: "asia-northeast1"}},
 	})
-	plan, err := h.session.planRead(tbl, h.db, w, 0)
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPlanComputedRegionPins(t *testing.T) {
 	tbl := h.mkTable(t, "accounts", true)
 	w := eq("id", int64(1))
 	w.Conds = append(w.Conds, Cond{Col: "city", Op: OpEq, Vals: []Expr{&Lit{Val: "tokyo"}}})
-	plan, err := h.session.planRead(tbl, h.db, w, 0)
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +139,33 @@ func TestPlanComputedRegionPins(t *testing.T) {
 		t.Fatalf("computed region did not pin: %v", plan.regions)
 	}
 	// Without the determinant column the plan must search.
-	plan, err = h.session.planRead(tbl, h.db, eq("id", int64(1)), 0)
+	plan, err = h.session.planReadStmt(nil, tbl, h.db, eq("id", int64(1)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.regionPinned {
 		t.Fatal("pinned without the determinant column")
+	}
+}
+
+// TestPlanComputedRegionUnmappableSearches pins the per-execution side of
+// computed partitioning: the shape pins on the computed region, but a value
+// the region expression cannot map leaves that execution searching every
+// partition, gateway first, with locality optimized search.
+func TestPlanComputedRegionUnmappableSearches(t *testing.T) {
+	h := newPlanHarness(t)
+	tbl := h.mkTable(t, "accounts", true)
+	w := eq("id", int64(1))
+	w.Conds = append(w.Conds, Cond{Col: "city", Op: OpEq, Vals: []Expr{&Lit{Val: 1.5}}})
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.regionPinned || len(plan.regions) != 3 || plan.regions[0] != simnet.EuropeW2 {
+		t.Fatalf("pinned=%v regions=%v, want a gateway-first search", plan.regionPinned, plan.regions)
+	}
+	if !plan.los {
+		t.Fatal("unpinned unique lookup should use locality optimized search")
 	}
 }
 
@@ -155,7 +176,7 @@ func TestPlanInListBuildsTuples(t *testing.T) {
 		Col: "id", Op: OpIn,
 		Vals: []Expr{&Lit{Val: int64(1)}, &Lit{Val: int64(2)}, &Lit{Val: int64(3)}},
 	}}}
-	plan, err := h.session.planRead(tbl, h.db, w, 0)
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +188,7 @@ func TestPlanInListBuildsTuples(t *testing.T) {
 func TestPlanFullScanWithoutUsableIndex(t *testing.T) {
 	h := newPlanHarness(t)
 	tbl := h.mkTable(t, "users", false)
-	plan, err := h.session.planRead(tbl, h.db, eq("city", "x"), 0)
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, eq("city", "x"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +204,7 @@ func TestPlanLOSDisabled(t *testing.T) {
 	h := newPlanHarness(t)
 	tbl := h.mkTable(t, "users", false)
 	h.session.LocalityOptimizedSearch = false
-	plan, err := h.session.planRead(tbl, h.db, eq("id", int64(1)), 0)
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, eq("id", int64(1)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +221,7 @@ func TestPlanConstraintIntersection(t *testing.T) {
 		{Col: "id", Op: OpIn, Vals: []Expr{&Lit{Val: int64(1)}, &Lit{Val: int64(2)}}},
 		{Col: "id", Op: OpEq, Vals: []Expr{&Lit{Val: int64(2)}}},
 	}}
-	plan, err := h.session.planRead(tbl, h.db, w, 0)
+	plan, err := h.session.planReadStmt(nil, tbl, h.db, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,15 @@ import (
 // twice with the same fingerprint, catalog version, gateway region and
 // WHERE-clause arities makes every *shape* decision — index choice,
 // partition-resolution mode, search order, locality-optimized-search
-// eligibility — identically, so those decisions are computed once and
-// reused. Everything value-dependent (constraint values, lookup tuples,
-// computed regions) is still evaluated per execution, in exactly the order
-// the from-scratch planner evaluates it, which keeps RNG and clock draws —
-// and therefore span trees and statement statistics — byte-identical with
-// the cache on or off. Catalog.noPlanCache disables the whole path; tests
-// use it as the from-scratch reference the cached path must match.
+// eligibility — identically, so the cache memoizes the shape the planner
+// builds (readShape, insertShape) and every execution binds its own values
+// to it. Constraint values, lookup tuples and computed regions are
+// evaluated per execution, once each and in the same order whether the
+// shape came from the cache or was built fresh, which keeps RNG and clock
+// draws — and therefore span trees and statement statistics — byte-identical
+// with the cache on or off. Catalog.noPlanCache builds a fresh shape for
+// every statement; tests use it as the reference the memoized shapes must
+// match.
 
 // planCache outcome labels rendered by EXPLAIN ANALYZE.
 const (
@@ -28,52 +30,10 @@ const (
 	planCacheOff  = "off"
 )
 
-// regionMode classifies how a cached read plan resolves its candidate
-// partitions on each execution.
-type regionMode int8
-
-const (
-	// modeUnpartitioned: non-REGIONAL BY ROW table, the single "" partition.
-	modeUnpartitioned regionMode = iota
-	// modeRegionCol: the region column is constrained in WHERE; partitions
-	// come from its per-execution values (pinned).
-	modeRegionCol
-	// modeComputed: the region column is computed and all its dependencies
-	// are single-value constrained; evaluate it per execution (pinned).
-	modeComputed
-	// modeSearch: gateway-local partition first, then the rest (§4.2).
-	modeSearch
-)
-
-// cachedRead is the shape half of a read plan: every decision that is a
-// pure function of the cache key. Binding it to per-execution constraint
-// values reproduces planRead's output exactly.
-type cachedRead struct {
-	index *Index
-	// colNames are index.Cols resolved to names, for constraint lookup
-	// without per-execution catalog scans.
-	colNames []string
-	// scan means no usable index: full scan of index, no lookup tuples.
-	scan bool
-	mode regionMode
-	// regions is the memoized gateway-first search order (modeSearch only);
-	// shared read-only across executions.
-	regions []simnet.Region
-	// los is the locality-optimized-search decision (§4.2); the LOS session
-	// setting is part of the cache key, so the bit is fully determined.
-	los bool
-	// filterRedundant means every WHERE conjunct is enforced by the lookup
-	// tuples themselves (literal/placeholder values on indexed columns), so
-	// the per-row filter pass is a provable no-op and is skipped.
-	filterRedundant bool
-	// prefixes memoizes this table's index-partition key prefixes.
-	prefixes prefixCache
-}
-
-// cachedInsert is the shape half of an INSERT: resolved target columns,
-// the default/computed column schedule, and the uuid-default set that
-// drives uniqueness-check elision (§4.1).
-type cachedInsert struct {
+// insertShape is the value-independent half of an INSERT: resolved target
+// columns, the default/computed column schedule, and the uuid-default set
+// that drives uniqueness-check elision (§4.1).
+type insertShape struct {
 	cols     []ColumnID
 	defaults []*Column
 	computed []*Column
@@ -90,7 +50,7 @@ type prefixEntry struct {
 	key    mvcc.Key
 }
 
-// prefixCache memoizes index-partition key prefixes per cached plan, so hot
+// prefixCache memoizes index-partition key prefixes per plan shape, so hot
 // key construction skips IndexPrefix's per-key formatting. The entry count
 // is bounded by indexes × regions of one table, so a linear scan beats a
 // map. Entries are appended lazily; the cooperative scheduler serializes
@@ -120,17 +80,6 @@ func (pc *prefixCache) indexKey(t *Table, idx *Index, region simnet.Region, vals
 	return AppendKeyTuple(key, vals)
 }
 
-// encodeIndexKey builds an index key through the plan's prefix cache when
-// one is attached, and through the regular path otherwise. Both produce the
-// same bytes; only the allocation profile differs, which keeps the
-// uncached test reference exactly on the pre-cache path.
-func encodeIndexKey(pc *prefixCache, t *Table, idx *Index, region simnet.Region, vals []Datum) mvcc.Key {
-	if pc == nil {
-		return EncodeIndexKey(t, idx, region, vals)
-	}
-	return pc.indexKey(t, idx, region, vals)
-}
-
 // PlanCache holds cached statement shapes keyed by fingerprint-derived
 // strings. It is cluster-shared state on the Catalog (like StmtStats) and
 // is invalidated wholesale when the catalog version moves: DDL,
@@ -138,8 +87,8 @@ func encodeIndexKey(pc *prefixCache, t *Table, idx *Index, region simnet.Region,
 // placement and primary-region changes all bump the version.
 type PlanCache struct {
 	version uint64
-	reads   map[string]*cachedRead
-	inserts map[string]*cachedInsert
+	reads   map[string]*readShape
+	inserts map[string]*insertShape
 	hits    uint64
 	misses  uint64
 }
@@ -158,7 +107,7 @@ func (pc *PlanCache) sync(version uint64) {
 	}
 }
 
-func (pc *PlanCache) getRead(version uint64, key []byte) *cachedRead {
+func (pc *PlanCache) getRead(version uint64, key []byte) *readShape {
 	pc.sync(version)
 	cr := pc.reads[string(key)]
 	if cr != nil {
@@ -169,17 +118,17 @@ func (pc *PlanCache) getRead(version uint64, key []byte) *cachedRead {
 	return cr
 }
 
-func (pc *PlanCache) putRead(version uint64, key string, cr *cachedRead) {
+func (pc *PlanCache) putRead(version uint64, key string, cr *readShape) {
 	pc.sync(version)
 	if pc.reads == nil {
-		pc.reads = map[string]*cachedRead{}
+		pc.reads = map[string]*readShape{}
 	}
 	if len(pc.reads) < planCacheMaxEntries {
 		pc.reads[key] = cr
 	}
 }
 
-func (pc *PlanCache) getInsert(version uint64, key []byte) *cachedInsert {
+func (pc *PlanCache) getInsert(version uint64, key []byte) *insertShape {
 	pc.sync(version)
 	ci := pc.inserts[string(key)]
 	if ci != nil {
@@ -190,10 +139,10 @@ func (pc *PlanCache) getInsert(version uint64, key []byte) *cachedInsert {
 	return ci
 }
 
-func (pc *PlanCache) putInsert(version uint64, key string, ci *cachedInsert) {
+func (pc *PlanCache) putInsert(version uint64, key string, ci *insertShape) {
 	pc.sync(version)
 	if pc.inserts == nil {
-		pc.inserts = map[string]*cachedInsert{}
+		pc.inserts = map[string]*insertShape{}
 	}
 	if len(pc.inserts) < planCacheMaxEntries {
 		pc.inserts[key] = ci
@@ -280,8 +229,8 @@ func cacheableWhere(w *Where) bool {
 // redundant: every conjunct targets an indexed column with pure
 // literal/placeholder values, so rows fetched via the lookup tuples satisfy
 // the WHERE clause by construction. Non-pure values (function calls) keep
-// the filter, both for correctness and because skipping their per-row
-// re-evaluation would desynchronize RNG draws from the cache-off path.
+// the filter, both for correctness and because their per-row
+// re-evaluation may draw from the RNG.
 func filterCoveredByLookup(t *Table, idx *Index, w *Where) bool {
 	if w == nil {
 		return true
@@ -314,64 +263,27 @@ func filterCoveredByLookup(t *Table, idx *Index, w *Where) bool {
 
 // --- read path ---
 
-// unpartitionedRegions is the shared single-"" partition list.
-var unpartitionedRegions = []simnet.Region{""}
-
-// planReadCached is planRead behind the plan cache: a hit binds the cached
-// shape to this execution's constraint values; a miss plans from scratch
-// and installs the shape. With the cache off (the test reference) or an
-// uncacheable WHERE clause it falls through to planRead unchanged.
-func (s *Session) planReadCached(stmt Statement, t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
+// readShapeFor returns stmt's read shape: memoized in the plan cache when
+// the WHERE clause is cacheable, built fresh when it is not or when the
+// cache is off (the test reference).
+func (s *Session) readShapeFor(stmt Statement, t *Table, db *core.Database, w *Where, cons map[string][]Datum, limit int) *readShape {
 	if s.Catalog.noPlanCache {
 		s.lastPlanCache = planCacheOff
-		return s.planRead(t, db, w, limit)
+		return s.buildReadShape(t, db, w, cons, limit)
 	}
 	if !cacheableWhere(w) {
 		s.lastPlanCache = planCacheMiss
-		return s.planRead(t, db, w, limit)
+		return s.buildReadShape(t, db, w, cons, limit)
 	}
-	fp := s.stmtFingerprint(stmt)
-	key := s.readPlanKey(fp, w)
-	if cr := s.Catalog.plans.getRead(s.Catalog.version, key); cr != nil {
+	key := s.readPlanKey(s.stmtFingerprint(stmt), w)
+	if sh := s.Catalog.plans.getRead(s.Catalog.version, key); sh != nil {
 		s.lastPlanCache = planCacheHit
-		return s.bindRead(cr, t, db, w, limit)
+		return sh
 	}
 	s.lastPlanCache = planCacheMiss
-	plan, err := s.planRead(t, db, w, limit)
-	if err != nil {
-		return nil, err
-	}
-	cr := buildCachedRead(t, plan, w)
-	s.Catalog.plans.putRead(s.Catalog.version, string(key), cr)
-	// The miss execution fetches through the fresh entry's prefix cache too,
-	// warming it for the hits that follow.
-	plan.prefixes = &cr.prefixes
-	plan.filterRedundant = cr.filterRedundant
-	return plan, nil
-}
-
-// buildCachedRead extracts the shape half of a freshly planned read.
-func buildCachedRead(t *Table, plan *readPlan, w *Where) *cachedRead {
-	cr := &cachedRead{index: plan.index, scan: plan.lookups == nil, los: plan.los}
-	switch {
-	case !t.IsPartitioned():
-		cr.mode = modeUnpartitioned
-	case whereConstrains(w, regionColumnName(t)):
-		cr.mode = modeRegionCol
-	case plan.regionPinned:
-		cr.mode = modeComputed
-	default:
-		cr.mode = modeSearch
-		cr.regions = plan.regions
-	}
-	if !cr.scan {
-		for _, cid := range plan.index.Cols {
-			col, _ := t.ColumnByID(cid)
-			cr.colNames = append(cr.colNames, col.Name)
-		}
-		cr.filterRedundant = filterCoveredByLookup(t, plan.index, w)
-	}
-	return cr
+	sh := s.buildReadShape(t, db, w, cons, limit)
+	s.Catalog.plans.putRead(s.Catalog.version, string(key), sh)
+	return sh
 }
 
 func regionColumnName(t *Table) string {
@@ -382,152 +294,46 @@ func regionColumnName(t *Table) string {
 	return col.Name
 }
 
-func whereConstrains(w *Where, col string) bool {
-	if w == nil || col == "" {
-		return false
-	}
-	for _, c := range w.Conds {
-		if c.Col == col {
-			return true
-		}
-	}
-	return false
-}
+// --- insert path ---
 
-// bindRead reproduces planRead's output from a cached shape plus this
-// execution's constraint values. Constraints are still evaluated exactly as
-// the from-scratch planner evaluates them (same expressions, same order),
-// so any RNG or clock draws match the cache-off execution; only the shape
-// recomputation and its allocations are skipped.
-func (s *Session) bindRead(cr *cachedRead, t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
-	cons, err := s.constraints(w, nil)
+// insertShapeFor returns the shape of an INSERT, memoized in the plan
+// cache unless the cache is off.
+func (s *Session) insertShapeFor(st *Insert, t *Table) (*insertShape, error) {
+	if s.Catalog.noPlanCache {
+		s.lastPlanCache = planCacheOff
+		return buildInsertShape(st, t)
+	}
+	key := s.insertPlanKey(s.stmtFingerprint(st))
+	if sh := s.Catalog.plans.getInsert(s.Catalog.version, key); sh != nil {
+		s.lastPlanCache = planCacheHit
+		return sh, nil
+	}
+	s.lastPlanCache = planCacheMiss
+	sh, err := buildInsertShape(st, t)
 	if err != nil {
 		return nil, err
 	}
-	plan := &s.planScratch
-	*plan = readPlan{t: t, index: cr.index, limit: limit, prefixes: &cr.prefixes, filterRedundant: cr.filterRedundant}
-	switch cr.mode {
-	case modeUnpartitioned:
-		plan.regions = unpartitionedRegions
-		plan.regionPinned = true
-	case modeRegionCol:
-		regions := s.regionScratch[:0]
-		for _, v := range cons[regionColumnName(t)] {
-			if r, ok := v.(string); ok {
-				regions = append(regions, simnet.Region(r))
-			}
-		}
-		s.regionScratch = regions
-		plan.regions = regions
-		plan.regionPinned = true
-	case modeComputed:
-		r, ok := s.computedRegionFromConstraints(t, cons)
-		if !ok {
-			// Shape drift the key did not capture; replan defensively.
-			return s.planRead(t, db, w, limit)
-		}
-		regions := append(s.regionScratch[:0], r)
-		s.regionScratch = regions
-		plan.regions = regions
-		plan.regionPinned = true
-	case modeSearch:
-		plan.regions = cr.regions
-	}
-	if cr.scan {
-		return plan, nil
-	}
-	plan.los = cr.los
-	// Lookup tuples: cartesian product of the per-column candidate values,
-	// exactly as planRead builds them. The single-tuple case — every indexed
-	// column equality-constrained to one value, the OLTP hot path — reuses
-	// session scratch; that is safe only when no first-hit probes can
-	// outlive the statement, i.e. when LOS fan-out is off for this plan.
-	single := true
-	for _, name := range cr.colNames {
-		n := len(cons[name])
-		if n == 0 {
-			// Arity is in the key, so this implies the catalog changed
-			// shape under us; replan defensively.
-			return s.planRead(t, db, w, limit)
-		}
-		if n != 1 {
-			single = false
-		}
-	}
-	if single && !plan.los {
-		tuple := s.tupleScratch[:0]
-		for _, name := range cr.colNames {
-			tuple = append(tuple, cons[name][0])
-		}
-		s.tupleScratch = tuple
-		if s.lookupScratch == nil {
-			s.lookupScratch = make([][]Datum, 1)
-		}
-		s.lookupScratch[0] = tuple
-		plan.lookups = s.lookupScratch
-		return plan, nil
-	}
-	tuples := [][]Datum{nil}
-	for _, name := range cr.colNames {
-		vals := cons[name]
-		var next [][]Datum
-		for _, tu := range tuples {
-			for _, v := range vals {
-				nt := append(append([]Datum(nil), tu...), v)
-				next = append(next, nt)
-			}
-		}
-		tuples = next
-		if len(tuples) > 1024 {
-			return nil, fmt.Errorf("sql: IN list product too large")
-		}
-	}
-	plan.lookups = tuples
-	return plan, nil
+	s.Catalog.plans.putInsert(s.Catalog.version, string(key), sh)
+	return sh, nil
 }
 
-// --- insert path ---
-
-// insertPlan looks up or installs the cached shape of an INSERT. A nil
-// return (cache off, uncacheable shape) sends the caller down the
-// from-scratch path.
-func (s *Session) insertPlan(st *Insert, t *Table) *cachedInsert {
-	if s.Catalog.noPlanCache {
-		s.lastPlanCache = planCacheOff
-		return nil
-	}
-	fp := s.stmtFingerprint(st)
-	key := s.insertPlanKey(fp)
-	if ci := s.Catalog.plans.getInsert(s.Catalog.version, key); ci != nil {
-		s.lastPlanCache = planCacheHit
-		return ci
-	}
-	s.lastPlanCache = planCacheMiss
-	ci := buildCachedInsert(st, t)
-	if ci != nil {
-		s.Catalog.plans.putInsert(s.Catalog.version, string(key), ci)
-	}
-	return ci
-}
-
-// buildCachedInsert resolves an INSERT's target columns and precomputes the
-// default/computed evaluation schedule. Returns nil for shapes the slow
-// path must reject (unknown columns), so the error surfaces there.
-func buildCachedInsert(st *Insert, t *Table) *cachedInsert {
+// buildInsertShape resolves an INSERT's target columns and precomputes the
+// default/computed evaluation schedule.
+func buildInsertShape(st *Insert, t *Table) (*insertShape, error) {
 	cols := st.Columns
 	if cols == nil {
 		for _, c := range t.VisibleColumns() {
 			cols = append(cols, c.Name)
 		}
 	}
-	ci := &cachedInsert{fromDefault: map[ColumnID]bool{}}
+	sh := &insertShape{fromDefault: map[ColumnID]bool{}}
 	provided := map[ColumnID]bool{}
 	for _, name := range cols {
 		c, ok := t.Column(name)
 		if !ok {
-			return nil
+			return nil, fmt.Errorf("sql: unknown column %q", name)
 		}
-		ci.cols = append(ci.cols, c.ID)
+		sh.cols = append(sh.cols, c.ID)
 		provided[c.ID] = true
 	}
 	for _, c := range t.Columns {
@@ -535,30 +341,30 @@ func buildCachedInsert(st *Insert, t *Table) *cachedInsert {
 			continue
 		}
 		if c.Default != nil {
-			ci.defaults = append(ci.defaults, c)
+			sh.defaults = append(sh.defaults, c)
 			if fc, ok := c.Default.(*FuncCall); ok && fc.Name == "gen_random_uuid" {
-				ci.fromDefault[c.ID] = true
+				sh.fromDefault[c.ID] = true
 			}
 		}
 	}
 	for _, c := range t.Columns {
 		if c.Computed != nil {
-			ci.computed = append(ci.computed, c)
+			sh.computed = append(sh.computed, c)
 		}
 	}
-	return ci
+	return sh, nil
 }
 
-// buildRowValuesCached is buildRowValues over a cached insert shape: same
-// expressions evaluated in the same order (value parity and RNG parity with
-// the slow path), but with the column resolution, provided/fromDefault
-// bookkeeping maps and the per-default name→value map rebuilds all hoisted
-// into the cached shape. One name→value map is built per row and updated
-// incrementally, which is observationally identical to rebuilding it before
-// every default and computed evaluation.
-func (s *Session) buildRowValuesCached(ci *cachedInsert, t *Table, db *core.Database, exprs []Expr) (map[ColumnID]Datum, error) {
+// rowValues evaluates one row of an INSERT over its shape: the provided
+// expressions in column order, then the defaults of the columns left out,
+// then the computed columns over the full row; it then validates NOT NULL
+// and region writability (a READ ONLY region value, mid DROP REGION
+// §2.4.1, rejects writes). One name→value map is built per row and updated
+// incrementally, which is observationally identical to rebuilding it
+// before every default and computed evaluation.
+func (s *Session) rowValues(sh *insertShape, t *Table, db *core.Database, exprs []Expr) (map[ColumnID]Datum, error) {
 	vals := make(map[ColumnID]Datum, len(t.Columns))
-	for i, cid := range ci.cols {
+	for i, cid := range sh.cols {
 		v, err := s.evalExpr(exprs[i], nil)
 		if err != nil {
 			return nil, err
@@ -566,10 +372,10 @@ func (s *Session) buildRowValuesCached(ci *cachedInsert, t *Table, db *core.Data
 		vals[cid] = v
 	}
 	var ctx *evalCtx
-	if len(ci.defaults)+len(ci.computed) > 0 {
+	if len(sh.defaults)+len(sh.computed) > 0 {
 		ctx = &evalCtx{session: s, row: t.namedVals(vals)}
 	}
-	for _, c := range ci.defaults {
+	for _, c := range sh.defaults {
 		v, err := s.evalExpr(c.Default, ctx)
 		if err != nil {
 			return nil, err
@@ -577,7 +383,7 @@ func (s *Session) buildRowValuesCached(ci *cachedInsert, t *Table, db *core.Data
 		vals[c.ID] = v
 		ctx.row[c.Name] = v
 	}
-	for _, c := range ci.computed {
+	for _, c := range sh.computed {
 		v, err := s.evalExpr(c.Computed, ctx)
 		if err != nil {
 			return nil, err
@@ -608,8 +414,7 @@ func (s *Session) buildRowValuesCached(ci *cachedInsert, t *Table, db *core.Data
 const rowPoolMax = 64
 
 // getRowMap returns a cleared row map from the session pool, or a fresh
-// one. Only the cached-plan fetch path draws from the pool, so the
-// uncached test reference keeps the pre-cache allocation profile.
+// one.
 func (s *Session) getRowMap() map[ColumnID]Datum {
 	if n := len(s.rowPool); n > 0 {
 		m := s.rowPool[n-1]

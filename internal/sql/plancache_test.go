@@ -172,6 +172,56 @@ func TestExplainAnalyzePlanCacheLine(t *testing.T) {
 	})
 }
 
+// TestPlanCacheOnOffAgreeOnErrorsAndUncacheableWhere pins two corners of
+// the one planner: an INSERT naming an unknown column fails with the same
+// error whether its shape is memoized or built fresh, and caches nothing;
+// a WHERE clause constraining one column twice is never cached (the
+// conjunct intersection makes its shape value-dependent) yet returns the
+// same rows as with the cache off.
+func TestPlanCacheOnOffAgreeOnErrorsAndUncacheableWhere(t *testing.T) {
+	h := newSQLHarness(927)
+	h.run(t, func(p *sim.Proc) {
+		s := h.setupMovr(t, p)
+		mustExec(t, p, s, `INSERT INTO users (id, email, name) VALUES (1, 'a@x.com', 'alice'), (2, 'b@x.com', 'bob')`)
+		cached := h.catalog.PlanCacheLen()
+
+		bad := `INSERT INTO users (id, nickname) VALUES (3, 'c')`
+		const want = `sql: unknown column "nickname"`
+		for _, off := range []bool{false, true} {
+			h.catalog.noPlanCache = off
+			for i := 0; i < 2; i++ {
+				if _, err := s.Exec(p, bad); err == nil || err.Error() != want {
+					t.Errorf("noPlanCache=%v: err = %v, want %s", off, err, want)
+				}
+			}
+		}
+		h.catalog.noPlanCache = false
+		if n := h.catalog.PlanCacheLen(); n != cached {
+			t.Errorf("failed INSERT changed the cache: %d shapes, want %d", n, cached)
+		}
+
+		q := `SELECT name FROM users WHERE id IN (1, 2) AND id = 2`
+		for i := 0; i < 2; i++ {
+			res := mustExec(t, p, s, q)
+			if s.lastPlanCache != planCacheMiss {
+				t.Errorf("execution %d: plan cache = %q, want miss", i+1, s.lastPlanCache)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0] != "bob" {
+				t.Errorf("execution %d with the cache on returned %v", i+1, res.Rows)
+			}
+		}
+		h.catalog.noPlanCache = true
+		res := mustExec(t, p, s, q)
+		h.catalog.noPlanCache = false
+		if len(res.Rows) != 1 || res.Rows[0][0] != "bob" {
+			t.Errorf("cache off returned %v", res.Rows)
+		}
+		if n := h.catalog.PlanCacheLen(); n != cached {
+			t.Errorf("uncacheable WHERE changed the cache: %d shapes, want %d", n, cached)
+		}
+	})
+}
+
 // TestPreparedStatements covers the prepared-statement surface: placeholder
 // binding, result correctness across rebinds, and fingerprint sharing with
 // the ad-hoc form of the same statement.
