@@ -37,15 +37,8 @@ type Options struct {
 	MeanHold  sim.Duration
 	MeanPause sim.Duration
 
-	Accounts       int
-	InitialBalance int
-	Movers         int
+	Movers int
 
-	// Settle is quiet time after the last heal before final audits.
-	Settle sim.Duration
-	// RTOThreshold classifies a probe as an outage: any successful probe
-	// whose end-to-end latency exceeds it records a recovery interval.
-	RTOThreshold sim.Duration
 	// Metrics dumps the full metrics registry into the report, making it
 	// part of the -verify determinism comparison.
 	Metrics bool
@@ -83,23 +76,23 @@ func (o Options) withDefaults() Options {
 	if o.MeanPause == 0 {
 		o.MeanPause = 6 * sim.Second
 	}
-	if o.Accounts == 0 {
-		o.Accounts = 8
-	}
-	if o.InitialBalance == 0 {
-		o.InitialBalance = 100
-	}
 	if o.Movers == 0 {
 		o.Movers = 3
 	}
-	if o.Settle == 0 {
-		o.Settle = 15 * sim.Second
-	}
-	if o.RTOThreshold == 0 {
-		o.RTOThreshold = 1500 * sim.Millisecond
-	}
 	return o
 }
+
+const (
+	// The bank workload transfers between accounts accounts, each
+	// starting at initialBalance.
+	accounts       = 8
+	initialBalance = 100
+	// settle is quiet time after the last heal before final audits.
+	settle = 15 * sim.Second
+	// rtoThreshold classifies a probe as an outage: any successful probe
+	// whose end-to-end latency exceeds it records a recovery interval.
+	rtoThreshold = 1500 * sim.Millisecond
+)
 
 // EventKind enumerates nemesis actions.
 type EventKind int8
@@ -193,12 +186,6 @@ type harness struct {
 	// bankRange is the bank range's ID; the elastic migrator relocates it
 	// back and forth so the placement checker sees live migrations.
 	bankRange kv.RangeID
-
-	// closedLast holds the closed-timestamp monitor's per-replica high-water
-	// baselines. Crashing a node deletes its entries: the recovered replica
-	// restarts from its last checkpoint, legitimately below the pre-crash
-	// value, and monotonicity is per process incarnation.
-	closedLast map[string]hlc.Timestamp
 }
 
 // Run executes a chaos schedule and returns the report. The error is only
@@ -232,10 +219,9 @@ func Run(opts Options) (*Report, error) {
 		opts:       opts,
 		c:          c,
 		activeKind: -1,
-		closedLast: map[string]hlc.Timestamp{},
 		rep: &Report{
 			Seed:         opts.Seed,
-			BankExpected: opts.Accounts * opts.InitialBalance,
+			BankExpected: accounts * initialBalance,
 		},
 	}
 
@@ -358,8 +344,8 @@ func (h *harness) faultWindows() []FaultWindow {
 		fw.PeakP99, fw.Samples = tailIn(fault.At, afterStart)
 		var afterN int64
 		fw.AfterP99, afterN = tailIn(afterStart, afterEnd)
-		fw.Spiked = fw.PeakP99 >= h.opts.RTOThreshold
-		fw.Reconverged = !fw.Spiked || (afterN > 0 && fw.AfterP99 < h.opts.RTOThreshold)
+		fw.Spiked = fw.PeakP99 >= rtoThreshold
+		fw.Reconverged = !fw.Spiked || (afterN > 0 && fw.AfterP99 < rtoThreshold)
 		out = append(out, fw)
 	}
 	return out
@@ -406,8 +392,8 @@ func (h *harness) run(p *sim.Proc) error {
 	seedCo := h.coordAt(c.GatewayFor(simnet.USEast1))
 	if err := seedCo.Run(p, func(tx *txn.Txn) error {
 		var kvs []mvcc.KeyValue
-		for i := 0; i < opts.Accounts; i++ {
-			kvs = append(kvs, mvcc.KeyValue{Key: acctKey(i), Value: mvcc.Value(fmt.Sprintf("%d", opts.InitialBalance))})
+		for i := 0; i < accounts; i++ {
+			kvs = append(kvs, mvcc.KeyValue{Key: acctKey(i), Value: mvcc.Value(fmt.Sprintf("%d", initialBalance))})
 		}
 		return tx.PutParallel(p, kvs)
 	}); err != nil {
@@ -439,7 +425,7 @@ func (h *harness) run(p *sim.Proc) error {
 		p.Sleep(opts.ElasticRun)
 	}
 
-	p.Sleep(opts.Settle)
+	p.Sleep(settle)
 	h.stopped = true
 	wg.Wait(p)
 	stopMon()
@@ -452,7 +438,7 @@ func (h *harness) run(p *sim.Proc) error {
 		total := 0
 		finalErr = h.coordAt(h.healthyGateway(p.Now())).Run(p, func(tx *txn.Txn) error {
 			total = 0
-			for a := 0; a < opts.Accounts; a++ {
+			for a := 0; a < accounts; a++ {
 				v, err := tx.Get(p, acctKey(a))
 				if err != nil {
 					return err
@@ -542,11 +528,6 @@ func (h *harness) apply(p *sim.Proc, e Event) {
 	switch e.Kind {
 	case EvCrashNode:
 		h.c.CrashNode(e.A)
-		// The node's replicas are reborn from their checkpoints, which may
-		// trail the pre-crash closed timestamps; re-baseline the monitor.
-		for _, d := range h.c.Catalog.All() {
-			delete(h.closedLast, fmt.Sprintf("n%d/r%d", e.A, d.RangeID))
-		}
 		h.activeKind, h.activeNode = e.Kind, e.A
 	case EvRestartNode:
 		stats, err := h.c.RestartNode(p, e.A)
@@ -608,8 +589,8 @@ func (h *harness) spawnMovers(wg *sim.WaitGroup) {
 			co := h.coordAt(gw)
 			rng := p.Rand()
 			for !h.stopped {
-				from := rng.Intn(h.opts.Accounts)
-				to := rng.Intn(h.opts.Accounts)
+				from := rng.Intn(accounts)
+				to := rng.Intn(accounts)
 				if from == to {
 					p.Sleep(50 * sim.Millisecond)
 					continue
@@ -709,7 +690,7 @@ func (h *harness) spawnLinReaders(wg *sim.WaitGroup) {
 
 // spawnProber measures availability and recovery time: a periodic write
 // through a gateway outside the fault's blast radius. Probe latency above
-// RTOThreshold records a recovery interval (the DistSender rides out the
+// rtoThreshold records a recovery interval (the DistSender rides out the
 // outage internally, so the first slow probe's latency IS the RTO).
 func (h *harness) spawnProber(wg *sim.WaitGroup) {
 	wg.Add(1)
@@ -749,7 +730,7 @@ func (h *harness) spawnProber(wg *sim.WaitGroup) {
 				}
 			} else {
 				h.rep.ProbesOK++
-				if lat > h.opts.RTOThreshold {
+				if lat > rtoThreshold {
 					h.rep.Recoveries = append(h.rep.Recoveries, lat)
 					h.recordRTO(kind, lat)
 					if h.opts.Verbose {
@@ -780,7 +761,7 @@ func (h *harness) spawnAuditor(wg *sim.WaitGroup) {
 			total := 0
 			err := co.Run(p, func(tx *txn.Txn) error {
 				total = 0
-				for a := 0; a < h.opts.Accounts; a++ {
+				for a := 0; a < accounts; a++ {
 					v, err := tx.Get(p, acctKey(a))
 					if err != nil {
 						return err
@@ -802,10 +783,47 @@ func (h *harness) spawnAuditor(wg *sim.WaitGroup) {
 	})
 }
 
-// startClosedTSMonitor samples every replica's closed timestamp and counts
-// regressions (closed timestamps must be monotonic per replica).
+// closedTSMonitor checks that closed timestamps are monotonic per replica
+// incarnation. It keys on the replica object: a replica that relocates away
+// and back, or is reborn from disk after a crash, is a new object whose
+// closed timestamp legitimately starts over (from zero, or from its
+// checkpoint). Only the replicas seen at the previous sample are kept, and
+// holding them keeps their addresses from being reused by a new incarnation.
+type closedTSMonitor struct {
+	rep       *Report
+	last, cur map[*kv.Replica]hlc.Timestamp
+}
+
+func newClosedTSMonitor(rep *Report) *closedTSMonitor {
+	return &closedTSMonitor{
+		rep:  rep,
+		last: map[*kv.Replica]hlc.Timestamp{},
+		cur:  map[*kv.Replica]hlc.Timestamp{},
+	}
+}
+
+// observe records replica r's closed timestamp ts in the current sample.
+func (m *closedTSMonitor) observe(now sim.Time, node simnet.NodeID, rangeID kv.RangeID, r *kv.Replica, ts hlc.Timestamp) {
+	m.rep.ClosedTSSamples++
+	if prev, ok := m.last[r]; ok && ts.Less(prev) {
+		m.rep.ClosedTSRegressions++
+		if m.rep.ClosedTSFirstBad == "" {
+			m.rep.ClosedTSFirstBad = fmt.Sprintf("t=%v n%d/r%d: %s -> %s", now, node, rangeID, prev, ts)
+		}
+	}
+	m.cur[r] = ts
+}
+
+// endSample makes the current sample the baseline for the next one.
+func (m *closedTSMonitor) endSample() {
+	m.last, m.cur = m.cur, m.last
+	clear(m.cur)
+}
+
+// startClosedTSMonitor samples every replica's closed timestamp once a
+// second into a closedTSMonitor.
 func (h *harness) startClosedTSMonitor() (stop func()) {
-	last := h.closedLast
+	m := newClosedTSMonitor(h.rep)
 	return h.c.Sim.Ticker(1*sim.Second, func() {
 		for _, id := range h.c.Topo.Nodes() {
 			st := h.c.Stores[id]
@@ -814,15 +832,10 @@ func (h *harness) startClosedTSMonitor() (stop func()) {
 				if !ok {
 					continue
 				}
-				key := fmt.Sprintf("n%d/r%d", id, d.RangeID)
-				ts := r.ClosedTimestamp()
-				h.rep.ClosedTSSamples++
-				if ts.Less(last[key]) {
-					h.rep.ClosedTSRegressions++
-				}
-				last[key] = ts
+				m.observe(h.c.Sim.Now(), id, d.RangeID, r, r.ClosedTimestamp())
 			}
 		}
+		m.endSample()
 	})
 }
 

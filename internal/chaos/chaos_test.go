@@ -3,6 +3,8 @@ package chaos
 import (
 	"testing"
 
+	"mrdb/internal/hlc"
+	"mrdb/internal/kv"
 	"mrdb/internal/sim"
 )
 
@@ -131,5 +133,44 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 	if a.Schedule() == b.Schedule() {
 		t.Fatal("seeds 1 and 2 produced identical schedules")
+	}
+}
+
+// TestClosedTSMonitorKeysOnIncarnation pins the monitor's notion of "the
+// same replica". A replica relocated away and back (or reborn from disk) is a
+// new object whose closed timestamp starts over at zero on the same node and
+// range: not a regression. The same object moving backwards is one, and the
+// first such sample is named.
+func TestClosedTSMonitorKeysOnIncarnation(t *testing.T) {
+	rep := &Report{}
+	m := newClosedTSMonitor(rep)
+	wall := func(s int64) hlc.Timestamp { return hlc.Timestamp{WallTime: s * int64(sim.Second)} }
+	at := func(s int64) sim.Time { return sim.Time(s * int64(sim.Second)) }
+
+	old := new(kv.Replica)
+	m.observe(at(100), 4, 1, old, wall(97))
+	m.endSample()
+	// The range moved away and straight back: n4 now hosts a fresh replica.
+	reborn := new(kv.Replica)
+	m.observe(at(101), 4, 1, reborn, hlc.Timestamp{})
+	m.endSample()
+	m.observe(at(102), 4, 1, reborn, wall(99))
+	m.endSample()
+	if rep.ClosedTSRegressions != 0 || rep.ClosedTSFirstBad != "" {
+		t.Fatalf("new incarnation counted as a regression: %d, %q", rep.ClosedTSRegressions, rep.ClosedTSFirstBad)
+	}
+
+	m.observe(at(103), 4, 1, reborn, wall(98))
+	m.endSample()
+	m.observe(at(104), 4, 1, reborn, wall(90))
+	m.endSample()
+	if rep.ClosedTSRegressions != 2 {
+		t.Fatalf("regressions = %d, want 2", rep.ClosedTSRegressions)
+	}
+	if want := "t=1m43s n4/r1: 99.000000000,0 -> 98.000000000,0"; rep.ClosedTSFirstBad != want {
+		t.Fatalf("first bad = %q, want %q", rep.ClosedTSFirstBad, want)
+	}
+	if rep.ClosedTSSamples != 5 {
+		t.Fatalf("samples = %d, want 5", rep.ClosedTSSamples)
 	}
 }

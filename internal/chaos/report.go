@@ -31,9 +31,11 @@ type Report struct {
 	LinReads      int
 	LinViolations int
 
-	// Closed-timestamp monotonicity.
+	// Closed-timestamp monotonicity per replica incarnation; the first
+	// regression names its node, range, old -> new timestamp and time.
 	ClosedTSSamples     int64
 	ClosedTSRegressions int64
+	ClosedTSFirstBad    string
 
 	// Placement invariants: every sampled range with a zone config must
 	// satisfy its constraints (with the mid-migration relaxation: counts may
@@ -150,6 +152,9 @@ func (r *Report) String() string {
 		r.LinWrites, r.LinReads, r.LinViolations)
 	fmt.Fprintf(&b, "  closed-ts: samples=%d regressions=%d\n",
 		r.ClosedTSSamples, r.ClosedTSRegressions)
+	if r.ClosedTSFirstBad != "" {
+		fmt.Fprintf(&b, "    first: %s\n", r.ClosedTSFirstBad)
+	}
 	if r.PlacementChecks > 0 {
 		fmt.Fprintf(&b, "  placement: checks=%d violations=%d\n",
 			r.PlacementChecks, r.PlacementViolations)

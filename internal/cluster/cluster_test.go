@@ -199,43 +199,6 @@ func TestStaleReadServedLocally(t *testing.T) {
 	})
 }
 
-func TestBoundedStalenessRead(t *testing.T) {
-	tc := newTestCluster(t, 4, 250*sim.Millisecond)
-	tc.run(t, func(p *sim.Proc) {
-		local := tc.coord(simnet.USEast1)
-		if err := local.Run(p, func(tx *txn.Txn) error {
-			return tx.Put(p, mvcc.Key("r/b1"), mvcc.Value("bounded"))
-		}); err != nil {
-			t.Error(err)
-			return
-		}
-		p.Sleep(4 * sim.Second)
-
-		remote := tc.coord(simnet.AustralSE1)
-		minTS := remote.MaxStalenessToMinTS(30 * sim.Second)
-		start := p.Now()
-		val, ts, served, err := remote.BoundedStaleRead(p, mvcc.Key("r/b1"), minTS, true)
-		if err != nil {
-			t.Errorf("bounded stale read: %v", err)
-			return
-		}
-		d := p.Now().Sub(start)
-		if string(val) != "bounded" {
-			t.Errorf("value %q", val)
-		}
-		if ts.Less(minTS) {
-			t.Errorf("negotiated ts %v below bound %v", ts, minTS)
-		}
-		loc, _ := tc.Topo.LocalityOf(served)
-		if loc.Region != simnet.AustralSE1 {
-			t.Errorf("served by %v, want local", loc.Region)
-		}
-		if d > 10*sim.Millisecond {
-			t.Errorf("bounded stale read took %v", d)
-		}
-	})
-}
-
 func TestGlobalTableFastReadsEverywhere(t *testing.T) {
 	tc := newTestCluster(t, 5, 250*sim.Millisecond)
 	tc.run(t, func(p *sim.Proc) {

@@ -311,10 +311,6 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 		if cl.Policy != cr.Policy || !a.configsMergeable(cl.RangeID, cr.RangeID) {
 			continue
 		}
-		if a.splitMaxKeys > 0 && a.mergedKeyCount(cl, cr) > a.splitMaxKeys {
-			// The merged range would immediately re-split on size.
-			continue
-		}
 		if err := a.MergeRanges(p, cl.RangeID); err != nil {
 			continue
 		}
@@ -384,20 +380,6 @@ func regionInPrefs(r simnet.Region, prefs []simnet.Region) bool {
 		}
 	}
 	return false
-}
-
-// mergedKeyCount estimates the live key count of a merged pair.
-func (a *Admin) mergedKeyCount(lhs, rhs *RangeDescriptor) int {
-	lr, err := a.leaseholderReplica(lhs.RangeID)
-	if err != nil {
-		return 1 << 30
-	}
-	rr, err := a.leaseholderReplica(rhs.RangeID)
-	if err != nil {
-		return 1 << 30
-	}
-	return lr.engine.KeyCountInSpan(lhs.StartKey, lhs.EndKey) +
-		rr.engine.KeyCountInSpan(rhs.StartKey, rhs.EndKey)
 }
 
 // rebalanceReplica swaps the lowest-traffic droppable voter for a node in

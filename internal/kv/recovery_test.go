@@ -94,7 +94,8 @@ func putCmd(st *Store, key, val string) Command {
 }
 
 func hasKey(r *Replica, key string) bool {
-	return r.engine.KeyCountInSpan(mvcc.Key(key), mvcc.Key(key+"\x00")) > 0
+	v, _, err := r.engine.Get(mvcc.Key(key), hlc.MaxTimestamp, mvcc.GetOptions{})
+	return err == nil && v != nil
 }
 
 // TestRestartDropsVolatileState is the regression test for the

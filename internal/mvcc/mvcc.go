@@ -136,9 +136,6 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{list: skl.New(seed)}
 }
 
-// KeyCount returns the number of distinct user keys (live or tombstoned).
-func (e *Engine) KeyCount() int { return e.keys }
-
 // IntentCount returns the number of outstanding write intents.
 func (e *Engine) IntentCount() int { return e.intents }
 
@@ -481,37 +478,6 @@ func (e *Engine) MinIntentTS(start, end Key) (hlc.Timestamp, bool) {
 		}
 	}
 	return minTS, found
-}
-
-// ApproxMiddleKey returns the median live key in [start, end), if the span
-// holds at least two keys; the split point chosen by the split queue.
-func (e *Engine) ApproxMiddleKey(start, end Key) (Key, bool) {
-	n := e.KeyCountInSpan(start, end)
-	if n < 2 {
-		return nil, false
-	}
-	it := e.list.Iter()
-	i := 0
-	for it.SeekGE(start); it.Valid(); it.Next() {
-		if i == n/2 {
-			return append(Key(nil), it.Key()...), true
-		}
-		i++
-	}
-	return nil, false
-}
-
-// KeyCountInSpan counts distinct keys in [start, end).
-func (e *Engine) KeyCountInSpan(start, end Key) int {
-	n := 0
-	it := e.list.Iter()
-	for it.SeekGE(start); it.Valid(); it.Next() {
-		if end != nil && string(it.Key()) >= string(end) {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 // CopyTo deep-copies all data (committed versions and intents) in

@@ -150,6 +150,10 @@ type Transport interface {
 	Send(to simnet.NodeID, msg Message)
 }
 
+// electionTimeout is the base follower patience; each check is perturbed
+// ±50% for tie-breaking. 2s suits WAN round trips.
+const electionTimeout = 2 * sim.Second
+
 // Config parameterizes a Node.
 type Config struct {
 	ID       simnet.NodeID
@@ -159,9 +163,6 @@ type Config struct {
 	Sim       *sim.Simulation
 	Transport Transport
 
-	// ElectionTimeout is the base follower patience; each check is
-	// perturbed ±50% for tie-breaking. Default 2s (WAN-appropriate).
-	ElectionTimeout sim.Duration
 	// HeartbeatInterval is the leader's append/heartbeat cadence.
 	// Default 400ms (GLOBAL ranges override it with the faster
 	// closed-timestamp side-transport cadence).
@@ -255,9 +256,6 @@ type Node struct {
 // NewNode constructs a replica. If the node appears in cfg.Learners it
 // starts as a Learner, otherwise as a Follower. Call Start to arm timers.
 func NewNode(cfg Config) *Node {
-	if cfg.ElectionTimeout == 0 {
-		cfg.ElectionTimeout = 2 * sim.Second
-	}
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 400 * sim.Millisecond
 	}
@@ -303,17 +301,11 @@ func (n *Node) ID() simnet.NodeID { return n.cfg.ID }
 // Role returns the replica's current role.
 func (n *Node) Role() Role { return n.role }
 
-// Term returns the current term.
-func (n *Node) Term() uint64 { return n.term }
-
 // Leader returns the last known leader (0 if unknown).
 func (n *Node) Leader() simnet.NodeID { return n.leader }
 
 // IsLeader reports whether this replica currently leads.
 func (n *Node) IsLeader() bool { return n.role == Leader }
-
-// CommitIndex returns the highest committed log index.
-func (n *Node) CommitIndex() uint64 { return n.commitIndex }
 
 // LastIndex returns the highest appended log index.
 func (n *Node) LastIndex() uint64 { return n.log[len(n.log)-1].Index }
@@ -360,24 +352,6 @@ func (n *Node) markDurable(idx uint64) {
 	}
 }
 
-// Voters returns the current voter set.
-func (n *Node) Voters() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(n.voters))
-	for v := range n.voters {
-		out = append(out, v)
-	}
-	return out
-}
-
-// Learners returns the current learner set.
-func (n *Node) Learners() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(n.learners))
-	for l := range n.learners {
-		out = append(out, l)
-	}
-	return out
-}
-
 // IsVoter reports whether id is currently a voter.
 func (n *Node) IsVoter(id simnet.NodeID) bool { return n.voters[id] }
 
@@ -389,13 +363,13 @@ func (n *Node) scheduleElectionCheck() {
 	}
 	// Perturb the check interval so that two followers rarely campaign
 	// simultaneously; deterministic via the simulation RNG.
-	d := n.cfg.ElectionTimeout/2 + sim.Duration(n.cfg.Sim.Rand().Int63n(int64(n.cfg.ElectionTimeout)))
+	d := electionTimeout/2 + sim.Duration(n.cfg.Sim.Rand().Int63n(int64(electionTimeout)))
 	n.cfg.Sim.After(d, func() {
 		if n.stopped {
 			return
 		}
 		if n.role != Leader && n.role != Learner {
-			if n.cfg.Sim.Now().Sub(n.lastHeard) >= n.cfg.ElectionTimeout {
+			if n.cfg.Sim.Now().Sub(n.lastHeard) >= electionTimeout {
 				n.Campaign()
 			}
 		}
@@ -624,20 +598,10 @@ const maxBatch = 256
 
 func (n *Node) sendAppend(to simnet.NodeID) {
 	next := n.nextIndex[to]
-	if next == 0 {
-		// A replica added by conf change after this range accumulated state:
-		// initialize it with a snapshot (see applyConfChange). Replaying the
-		// log from index 1 would miss state the log never carried.
-		if n.cfg.Snapshot != nil {
-			n.sendSnapshot(to)
-			return
-		}
-		next = 1
-		n.nextIndex[to] = 1
-	}
 	if next <= n.offset() {
-		// The entries the peer needs were compacted into a checkpoint;
-		// ship a snapshot of the applied state instead.
+		// The entries the peer needs were compacted into a checkpoint, or
+		// the peer is new (next 0, see applyConfChange): ship a snapshot
+		// of the applied state instead.
 		n.sendSnapshot(to)
 		return
 	}
@@ -755,16 +719,12 @@ func (n *Node) applyConfChange(cc ConfChange) {
 	}
 	if n.role == Leader {
 		if _, ok := n.nextIndex[cc.Node]; !ok {
-			if n.cfg.Snapshot != nil {
-				// A brand-new replica initializes from a snapshot of the
-				// applied state, never by replaying the log from scratch:
-				// the log cannot reproduce state that predates it (bulk
-				// loads, data absorbed by merges). 0 is the sentinel
-				// sendAppend turns into an initial snapshot.
-				n.nextIndex[cc.Node] = 0
-			} else {
-				n.nextIndex[cc.Node] = 1
-			}
+			// A brand-new replica initializes from a snapshot of the
+			// applied state, never by replaying the log from scratch: the
+			// log cannot reproduce state that predates it (bulk loads,
+			// data absorbed by merges). 0 is the sentinel sendAppend turns
+			// into an initial snapshot.
+			n.nextIndex[cc.Node] = 0
 			n.matchIndex[cc.Node] = 0
 		}
 		n.maybeCommit()

@@ -24,9 +24,7 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -468,12 +466,6 @@ func NewFuture[T any](s *Simulation) *Future[T] {
 	return &Future[T]{sim: s}
 }
 
-// MakeFuture returns an empty future bound to s by value, for embedding in
-// a caller's own allocation. The future must not be copied once waited on.
-func MakeFuture[T any](s *Simulation) Future[T] {
-	return Future[T]{sim: s}
-}
-
 // Set fulfills the future and wakes all waiters. Calling Set twice panics:
 // a future is a one-shot rendezvous.
 func (f *Future[T]) Set(v T) {
@@ -687,16 +679,6 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Signal wakes one waiting process, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.sim.wakeAt(c.sim.now, w)
-}
-
 // Ticker invokes fn every interval until the returned stop function is
 // called. The first tick fires one interval from now.
 func (s *Simulation) Ticker(interval Duration, fn func()) (stop func()) {
@@ -714,21 +696,4 @@ func (s *Simulation) Ticker(interval Duration, fn func()) (stop func()) {
 	}
 	s.After(interval, tick)
 	return func() { stopped = true }
-}
-
-// SortedKeys returns map keys in sorted order; a convenience for
-// deterministic iteration inside simulations.
-func SortedKeys[M ~map[K]V, K ~string, V any](m M) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// Trace formats a debug line prefixed with virtual time; it exists so that
-// ad-hoc debugging output is consistent across packages.
-func (s *Simulation) Trace(format string, args ...interface{}) string {
-	return fmt.Sprintf("[%12s] ", Duration(s.now)) + fmt.Sprintf(format, args...)
 }

@@ -215,7 +215,7 @@ func (s *Session) execStmt(p *sim.Proc, stmt Statement) (*Result, error) {
 }
 
 // BeginTxn starts an explicit transaction; subsequent Exec calls run inside
-// it until CommitTxn or RollbackTxn.
+// it until CommitTxn.
 func (s *Session) BeginTxn() *txn.Txn {
 	s.activeTxn = s.Coord.Begin(0)
 	return s.activeTxn
@@ -229,14 +229,6 @@ func (s *Session) CommitTxn(p *sim.Proc) error {
 	t := s.activeTxn
 	s.activeTxn = nil
 	return t.Commit(p)
-}
-
-// RollbackTxn aborts the explicit transaction.
-func (s *Session) RollbackTxn(p *sim.Proc) {
-	if s.activeTxn != nil {
-		s.activeTxn.Abort(p)
-		s.activeTxn = nil
-	}
 }
 
 // RunTxn executes fn inside a retrying transaction; statements issued via
@@ -777,9 +769,3 @@ func (s *Session) waitTableReady(p *sim.Proc, t *Table, db *core.Database) error
 }
 
 var _ = mvcc.Key(nil)
-
-// ExecStmtTxn executes a parsed DML statement inside the given transaction;
-// the workload drivers use it to avoid re-parsing hot statements.
-func (s *Session) ExecStmtTxn(p *sim.Proc, tx *txn.Txn, stmt Statement) (*Result, error) {
-	return s.execDMLInTxn(p, tx, stmt)
-}

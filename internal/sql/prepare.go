@@ -98,7 +98,7 @@ func (s *Session) ExecPrepared(p *sim.Proc, ps *Prepared, args ...Datum) (*Resul
 }
 
 // ExecPreparedTxn executes a prepared statement inside the given
-// transaction; the in-txn analogue of ExecStmtTxn (no statistics record,
+// transaction; the in-txn analogue of ExecPrepared (no statistics record,
 // no root span — the enclosing RunTxn carries the trace).
 func (s *Session) ExecPreparedTxn(p *sim.Proc, tx *txn.Txn, ps *Prepared, args ...Datum) (*Result, error) {
 	if len(args) != ps.numArgs {

@@ -308,14 +308,52 @@ func TestSQLStaleReads(t *testing.T) {
 			t.Errorf("exact stale read took %v", d)
 		}
 		// Bounded staleness picks a local timestamp (§5.3.2).
+		misses := asia.Coord.Sender.FollowerMisses
 		start = p.Now()
 		res, err = asia.Exec(p, `SELECT name FROM users AS OF SYSTEM TIME with_max_staleness('30s') WHERE id = 20`)
 		if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "stale" {
 			t.Errorf("bounded stale: %v %v", res, err)
 			return
 		}
-		if d := p.Now().Sub(start); d > 15*sim.Millisecond {
+		if d := p.Now().Sub(start); d > 10*sim.Millisecond {
 			t.Errorf("bounded stale read took %v", d)
+		}
+		if n := asia.Coord.Sender.FollowerMisses - misses; n != 0 {
+			t.Errorf("bounded stale read missed %d follower reads, want a local serve", n)
+		}
+
+		// The negotiated timestamp is at or above the bound: a write
+		// committed before the bound is visible, even though a local
+		// timestamp would have been servable sooner.
+		if _, err := s.Exec(p, `UPDATE users SET name = 'fresh' WHERE id = 20`); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(5 * sim.Second)
+		res, err = asia.Exec(p, `SELECT name FROM users AS OF SYSTEM TIME with_max_staleness('4s') WHERE id = 20`)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "fresh" {
+			t.Errorf("bounded stale after update: %v %v", res, err)
+			return
+		}
+
+		// A bound no local replica has closed falls back to the
+		// leaseholder at the bound: correct value, paid in WAN latency.
+		if _, err := s.Exec(p, `UPDATE users SET name = 'latest' WHERE id = 20`); err != nil {
+			t.Error(err)
+			return
+		}
+		misses = asia.Coord.Sender.FollowerMisses
+		start = p.Now()
+		res, err = asia.Exec(p, `SELECT name FROM users AS OF SYSTEM TIME with_min_timestamp('-1ms') WHERE id = 20`)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "latest" {
+			t.Errorf("bounded stale fallback: %v %v", res, err)
+			return
+		}
+		if n := asia.Coord.Sender.FollowerMisses - misses; n == 0 {
+			t.Error("with_min_timestamp at the present was served by a follower, want leaseholder fallback")
+		}
+		if d := p.Now().Sub(start); d < 50*sim.Millisecond {
+			t.Errorf("leaseholder fallback took %v, want a WAN round trip", d)
 		}
 	})
 }

@@ -38,10 +38,10 @@ import (
 	"mrdb/internal/sim"
 )
 
-// DefaultFsyncDelay is the virtual-time cost of one fsync, tuned to a fast
+// FsyncDelay is the virtual-time cost of one fsync, tuned to a fast
 // local SSD so that durability is visible in latency histograms without
 // dominating WAN round trips.
-const DefaultFsyncDelay = 250 * sim.Microsecond
+const FsyncDelay = 250 * sim.Microsecond
 
 // Disk is one node's simulated durable device. All state lives in memory,
 // but the Disk distinguishes volatile bytes (appended, not yet synced) from
@@ -57,9 +57,6 @@ type Disk struct {
 	// would diverge everywhere.
 	rng *rand.Rand
 
-	// FsyncDelay is charged per Sync on the virtual clock.
-	FsyncDelay sim.Duration
-
 	wals  map[string]*WAL
 	blobs map[string][]byte
 
@@ -72,12 +69,11 @@ type Disk struct {
 // fault randomness from the simulation RNG; metrics may be nil.
 func NewDisk(s *sim.Simulation, seed int64, metrics *obs.Registry) *Disk {
 	return &Disk{
-		sim:        s,
-		metrics:    metrics,
-		rng:        rand.New(rand.NewSource(seed)),
-		FsyncDelay: DefaultFsyncDelay,
-		wals:       map[string]*WAL{},
-		blobs:      map[string][]byte{},
+		sim:     s,
+		metrics: metrics,
+		rng:     rand.New(rand.NewSource(seed)),
+		wals:    map[string]*WAL{},
+		blobs:   map[string][]byte{},
 	}
 }
 
@@ -183,7 +179,7 @@ func (w *WAL) Sync(done func()) {
 	target := len(w.data)
 	inc := w.disk.incarnation
 	gen := w.gen
-	w.disk.sim.After(w.disk.FsyncDelay, func() {
+	w.disk.sim.After(FsyncDelay, func() {
 		if w.disk.incarnation != inc || w.gen != gen {
 			return
 		}

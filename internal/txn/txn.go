@@ -95,9 +95,6 @@ func (t *Txn) ID() mvcc.TxnID { return t.kv.Meta.ID }
 // ReadTimestamp returns the current read timestamp.
 func (t *Txn) ReadTimestamp() hlc.Timestamp { return t.kv.ReadTimestamp }
 
-// ProvisionalCommitTimestamp returns the current provisional commit ts.
-func (t *Txn) ProvisionalCommitTimestamp() hlc.Timestamp { return t.kv.Meta.WriteTimestamp }
-
 // followerOK reports whether a fresh read of key may be served by any
 // replica: true only for ranges with the leading closed-timestamp policy
 // (GLOBAL tables), where present time is closed everywhere.
@@ -292,9 +289,6 @@ func (t *Txn) putSend(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
 	t.writes = append(t.writes, append(mvcc.Key(nil), key...))
 	return nil
 }
-
-// Del deletes key (writes a tombstone intent).
-func (t *Txn) Del(p *sim.Proc, key mvcc.Key) error { return t.Put(p, key, nil) }
 
 // PutParallel issues a set of writes concurrently and waits for all of
 // them; it models CockroachDB's batched/pipelined writes so that multi-key
@@ -672,36 +666,6 @@ func (c *Coordinator) StaleScan(p *sim.Proc, start, end mvcc.Key, max int, ts hl
 		return nil, resp.Err
 	}
 	return resp.Scan.Rows, nil
-}
-
-// BoundedStaleRead performs a with_min_timestamp(minTS) read (§5.3.2): it
-// negotiates the highest locally servable timestamp and reads there if it
-// satisfies the bound. If not and fallbackToLeaseholder is set, the read is
-// served by the leaseholder at minTS; otherwise an error is returned.
-func (c *Coordinator) BoundedStaleRead(p *sim.Proc, key mvcc.Key, minTS hlc.Timestamp, fallbackToLeaseholder bool) (mvcc.Value, hlc.Timestamp, simnet.NodeID, error) {
-	end := append(append(mvcc.Key(nil), key...), 0)
-	negotiated, err := c.Sender.NegotiateBoundedStaleness(p, [][2]mvcc.Key{{key, end}})
-	if err != nil {
-		return nil, hlc.Timestamp{}, 0, err
-	}
-	if now := c.Store.Clock.Now(); negotiated.IsEmpty() || now.Less(negotiated) {
-		negotiated = now
-	}
-	if negotiated.Less(minTS) {
-		if !fallbackToLeaseholder {
-			return nil, hlc.Timestamp{}, 0, fmt.Errorf("txn: bounded staleness unsatisfiable: negotiated %s < bound %s", negotiated, minTS)
-		}
-		resp := c.Sender.Send(p, &kv.GetRequest{Key: key, Timestamp: minTS, Uncertainty: false})
-		if resp.Err != nil {
-			return nil, hlc.Timestamp{}, 0, resp.Err
-		}
-		return resp.Get.Value, minTS, resp.Get.ServedBy, nil
-	}
-	resp := c.Sender.Send(p, &kv.GetRequest{Key: key, Timestamp: negotiated, FollowerRead: true, Uncertainty: false})
-	if resp.Err != nil {
-		return nil, hlc.Timestamp{}, 0, resp.Err
-	}
-	return resp.Get.Value, negotiated, resp.Get.ServedBy, nil
 }
 
 // MaxStalenessToMinTS converts a with_max_staleness bound into the minimum

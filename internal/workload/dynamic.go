@@ -67,9 +67,6 @@ func (w *WindowedRecorder) Indices() []int64 {
 	return out
 }
 
-// IndexAt returns the window index containing t.
-func (w *WindowedRecorder) IndexAt(t sim.Time) int64 { return int64(t) / int64(w.Width) }
-
 // Between merges all samples recorded in [from, to) into one recorder.
 func (w *WindowedRecorder) Between(from, to sim.Time) *LatencyRecorder {
 	out := NewLatencyRecorder(fmt.Sprintf("window/%v-%v", from, to))
@@ -97,15 +94,19 @@ type SunPhase struct {
 	Duration sim.Duration
 }
 
+// sunHotClients and sunColdClients are FollowTheSun's closed-loop client
+// counts for the hot region and for each other region.
+const (
+	sunHotClients  = 4
+	sunColdClients = 1
+)
+
 // FollowTheSun drives MovR traffic whose dominant region rotates phase by
-// phase. Within a phase the hot region runs HotClients closed-loop clients
-// while every other database region runs ColdClients, so the per-range QPS
-// mix the load queue observes genuinely shifts.
+// phase. Within a phase the hot region runs sunHotClients closed-loop
+// clients while every other database region runs sunColdClients, so the
+// per-range QPS mix the load queue observes genuinely shifts.
 type FollowTheSun struct {
 	M *Movr
-	// HotClients / ColdClients are the closed-loop client counts for the
-	// hot region and each other region (defaults 4 and 1).
-	HotClients, ColdClients int
 	// Think is an optional pause between operations.
 	Think sim.Duration
 
@@ -122,7 +123,6 @@ type FollowTheSun struct {
 func NewFollowTheSun(m *Movr, windowWidth sim.Duration) *FollowTheSun {
 	return &FollowTheSun{
 		M:          m,
-		HotClients: 4, ColdClients: 1,
 		Windows:    NewWindowedRecorder(windowWidth),
 		HotWindows: NewWindowedRecorder(windowWidth),
 	}
@@ -138,9 +138,9 @@ func (f *FollowTheSun) Run(p *sim.Proc, phases []SunPhase) error {
 		deadline := p.Now().Add(ph.Duration)
 		wg := sim.NewWaitGroup(f.M.Cluster.Sim)
 		for ri, region := range f.M.regions {
-			n := f.ColdClients
+			n := sunColdClients
 			if region == ph.Hot {
-				n = f.HotClients
+				n = sunHotClients
 			}
 			for cl := 0; cl < n; cl++ {
 				ri, region := ri, region
@@ -204,21 +204,23 @@ type HotspotPhase struct {
 	Duration sim.Duration
 }
 
-// MigratingHotspot drives YCSB-style reads/updates where HotFrac of the
-// operations land in a WindowKeys-wide key window that jumps between
-// phases. Load-based splitting must carve the hot window out of its range
-// (and merging should eventually reclaim the cold remnants).
+// MigratingHotspot's operation mix: hotspotHotFrac of the operations aim
+// at the hot window (a tenth of the keyspace), and hotspotWriteFrac of them
+// are updates (YCSB-B's mix).
+const (
+	hotspotHotFrac   = 0.9
+	hotspotWriteFrac = 0.05
+)
+
+// MigratingHotspot drives YCSB-style reads/updates where hotspotHotFrac of
+// the operations land in a key window that jumps between phases.
+// Load-based splitting must carve the hot window out of its range (and
+// merging should eventually reclaim the cold remnants).
 type MigratingHotspot struct {
 	Y *YCSB
-	// HotFrac is the fraction of ops aimed at the hot window (default 0.9).
-	HotFrac float64
-	// WindowKeys is the hot window width in keys (default RecordCount/10).
-	WindowKeys int
 	// ClientsPerRegion closed-loop clients run at each region's gateway
 	// (default 2).
 	ClientsPerRegion int
-	// WriteFrac is the update fraction (default 0.05, YCSB-B's mix).
-	WriteFrac float64
 	// Think is an optional pause between operations.
 	Think sim.Duration
 	// Regions restricts the client regions (default: all cluster regions).
@@ -234,19 +236,15 @@ type MigratingHotspot struct {
 // NewMigratingHotspot wraps an already set-up YCSB harness.
 func NewMigratingHotspot(y *YCSB, windowWidth sim.Duration) *MigratingHotspot {
 	return &MigratingHotspot{
-		Y:       y,
-		HotFrac: 0.9, WindowKeys: y.Cfg.RecordCount / 10, ClientsPerRegion: 2,
-		WriteFrac: 0.05,
-		Windows:   NewWindowedRecorder(windowWidth),
+		Y:                y,
+		ClientsPerRegion: 2,
+		Windows:          NewWindowedRecorder(windowWidth),
 	}
 }
 
 // Run executes the phases sequentially, spawning clients in region order
 // each phase and joining them at the phase boundary.
 func (h *MigratingHotspot) Run(p *sim.Proc, phases []HotspotPhase) error {
-	if h.WindowKeys <= 0 {
-		h.WindowKeys = 1
-	}
 	regions := h.Regions
 	if len(regions) == 0 {
 		regions = h.Y.Cluster.Regions()
@@ -277,15 +275,19 @@ func (h *MigratingHotspot) Run(p *sim.Proc, phases []HotspotPhase) error {
 // client runs the read/update mix in a closed loop until the phase deadline.
 func (h *MigratingHotspot) client(wp *sim.Proc, region simnet.Region, hotStart int, deadline sim.Time) error {
 	y := h.Y
-	s := y.Sessions[region]
+	s := y.newSession(region)
 	rng := wp.Rand()
+	window := y.Cfg.RecordCount / 10
+	if window <= 0 {
+		window = 1
+	}
 	op := 0
 	var firstErr error
 	for wp.Now() < deadline {
 		op++
 		var key int
-		if rng.Float64() < h.HotFrac {
-			key = hotStart + rng.Intn(h.WindowKeys)
+		if rng.Float64() < hotspotHotFrac {
+			key = hotStart + rng.Intn(window)
 			if key >= y.Cfg.RecordCount {
 				key = y.Cfg.RecordCount - 1
 			}
@@ -294,7 +296,7 @@ func (h *MigratingHotspot) client(wp *sim.Proc, region simnet.Region, hotStart i
 		}
 		start := wp.Now()
 		var err error
-		if rng.Float64() < h.WriteFrac {
+		if rng.Float64() < hotspotWriteFrac {
 			err = y.doUpdate(wp, s, key, op)
 		} else {
 			err = y.doRead(wp, s, key)

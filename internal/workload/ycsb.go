@@ -58,11 +58,9 @@ type YCSBConfig struct {
 	// shared contended block (§7.2.3); otherwise clients use disjoint
 	// remote blocks.
 	SharedRemoteKeys bool
-	// StaleReads serves reads with bounded staleness (§5.3.2) instead of
-	// fresh reads.
+	// StaleReads serves reads with bounded staleness (§5.3.2, bound
+	// ycsbMaxStaleness) instead of fresh reads.
 	StaleReads bool
-	// MaxStaleness is the staleness bound for StaleReads (default 30s).
-	MaxStaleness sim.Duration
 	// Rehoming enables auto-rehoming on the client sessions.
 	Rehoming bool
 	// DisableLOS turns off locality optimized search ("Unoptimized").
@@ -86,12 +84,14 @@ type YCSBConfig struct {
 	RegionPrefixedKeys bool
 }
 
+// ycsbMaxStaleness is the with_max_staleness bound of StaleReads.
+const ycsbMaxStaleness = 30 * sim.Second
+
 // YCSB drives the workload against a cluster.
 type YCSB struct {
-	Cfg      YCSBConfig
-	Cluster  *cluster.Cluster
-	Catalog  *sql.Catalog
-	Sessions map[simnet.Region]*sql.Session
+	Cfg     YCSBConfig
+	Cluster *cluster.Cluster
+	Catalog *sql.Catalog
 
 	// Recorders per (region, op) pair.
 	ReadLat  map[simnet.Region]*LatencyRecorder
@@ -109,33 +109,40 @@ func NewYCSB(c *cluster.Cluster, catalog *sql.Catalog, cfg YCSBConfig) *YCSB {
 	if cfg.Table == "" {
 		cfg.Table = "usertable"
 	}
-	if cfg.MaxStaleness == 0 {
-		cfg.MaxStaleness = 30 * sim.Second
-	}
 	y := &YCSB{
 		Cfg: cfg, Cluster: c, Catalog: catalog,
-		Sessions:       map[simnet.Region]*sql.Session{},
 		ReadLat:        map[simnet.Region]*LatencyRecorder{},
 		WriteLat:       map[simnet.Region]*LatencyRecorder{},
 		insertedRegion: map[int]simnet.Region{},
 	}
 	for _, r := range c.Regions() {
-		s := sql.NewSession(c, catalog, c.GatewayFor(r))
-		s.Database = "ycsb"
-		s.AutoRehoming = cfg.Rehoming
-		s.LocalityOptimizedSearch = !cfg.DisableLOS
-		y.Sessions[r] = s
 		y.ReadLat[r] = NewLatencyRecorder(fmt.Sprintf("read/%s", r))
 		y.WriteLat[r] = NewLatencyRecorder(fmt.Sprintf("write/%s", r))
 	}
 	return y
 }
 
+// newSession opens a session at region's gateway with the run's settings.
+// A session runs one statement at a time, so every client gets its own.
+func (y *YCSB) newSession(region simnet.Region) *sql.Session {
+	s := sql.NewSession(y.Cluster, y.Catalog, y.Cluster.GatewayFor(region))
+	s.Database = "ycsb"
+	s.AutoRehoming = y.Cfg.Rehoming
+	s.LocalityOptimizedSearch = !y.Cfg.DisableLOS
+	s.Coord.SpannerCommitWait = y.Cfg.SpannerCommitWait
+	s.DisableOnePC = y.Cfg.DisableOnePC
+	// The manually partitioned baseline cannot enforce global uniqueness
+	// at all (paper Fig. 1b): the partition column is part of its keys,
+	// so per-partition checks suffice and no cross-region probes happen.
+	s.UniquenessChecks = !y.Cfg.BaselineManual
+	return s
+}
+
 // SetupSchema creates the database and table with the given locality
 // clause (e.g. "LOCALITY GLOBAL", "LOCALITY REGIONAL BY ROW").
 func (y *YCSB) SetupSchema(p *sim.Proc, localityClause string) error {
 	regions := y.Cluster.Regions()
-	s := y.Sessions[regions[0]]
+	s := y.newSession(regions[0])
 	create := fmt.Sprintf(`CREATE DATABASE ycsb PRIMARY REGION "%s"`, regions[0])
 	if len(regions) > 1 {
 		create += " REGIONS "
@@ -196,7 +203,7 @@ func (y *YCSB) regionOfKey(i int) simnet.Region {
 // Load bulk-loads RecordCount rows at a past timestamp. REGIONAL BY ROW
 // tables get keys homed per the blocked layout.
 func (y *YCSB) Load(p *sim.Proc) error {
-	s := y.Sessions[y.Cluster.Regions()[0]]
+	s := y.newSession(y.Cluster.Regions()[0])
 	ts := hlc.Timestamp{WallTime: 1} // before all measurement traffic
 	for i := 0; i < y.Cfg.RecordCount; i++ {
 		vals := map[string]sql.Datum{
@@ -265,18 +272,8 @@ func (y *YCSB) Run(p *sim.Proc) error {
 }
 
 func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx int) error {
-	// Each client gets its own session (so rehoming uses its gateway)
-	// but clients in a region share the gateway node.
-	s := sql.NewSession(y.Cluster, y.Catalog, y.Cluster.GatewayFor(region))
-	s.Database = "ycsb"
-	s.AutoRehoming = y.Cfg.Rehoming
-	s.LocalityOptimizedSearch = !y.Cfg.DisableLOS
-	s.Coord.SpannerCommitWait = y.Cfg.SpannerCommitWait
-	s.DisableOnePC = y.Cfg.DisableOnePC
-	// The manually partitioned baseline cannot enforce global uniqueness
-	// at all (paper Fig. 1b): the partition column is part of its keys,
-	// so per-partition checks suffice and no cross-region probes happen.
-	s.UniquenessChecks = !y.Cfg.BaselineManual
+	// Clients in a region share the gateway node, not the session.
+	s := y.newSession(region)
 	rng := p.Rand()
 
 	var chooser KeyChooser
@@ -356,7 +353,7 @@ func (y *YCSB) doRead(p *sim.Proc, s *sql.Session, key int) error {
 		Where: y.whereForKey(key),
 	}
 	if y.Cfg.StaleReads {
-		sel.AsOf = &sql.AsOf{MaxStaleness: &sql.Lit{Val: y.Cfg.MaxStaleness.String()}}
+		sel.AsOf = &sql.AsOf{MaxStaleness: &sql.Lit{Val: ycsbMaxStaleness.String()}}
 	}
 	res, err := s.ExecStmt(p, sel)
 	if err != nil {
